@@ -315,52 +315,55 @@ def _cmd_convert(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # Flags accepted before or after any subcommand. main() supplies their
+    # defaults: a subcommand's own default would overwrite a flag given before it.
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument("--json", action="store_true", help="machine output")
+    shared.add_argument("--quiet", action="store_true", help="suppress text output")
+    shared.add_argument("--tol", type=float, help=f"tolerance (default {DEFAULT_TOL})")
     parser = argparse.ArgumentParser(
         prog="compoundness",
         description="Order-theoretic toolkit for two-part quantum systems.",
+        parents=[shared],
     )
-    parser.add_argument("--json", action="store_true", help="machine output")
-    parser.add_argument("--quiet", action="store_true", help="suppress text output")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sub = parser.add_subparsers(dest="command", required=True)
 
     lattice = sub.add_parser("lattice").add_subparsers(dest="sub", required=True)
-    p = lattice.add_parser("check")
+    p = lattice.add_parser("check", parents=[shared])
     p.add_argument("file")
     p.set_defaults(func=_cmd_lattice_check)
-    p = lattice.add_parser("sasaki")
+    p = lattice.add_parser("sasaki", parents=[shared])
     p.add_argument("file")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=_cmd_lattice_sasaki)
 
     galois = sub.add_parser("galois").add_subparsers(dest="sub", required=True)
-    p = galois.add_parser("dual")
+    p = galois.add_parser("dual", parents=[shared])
     p.add_argument("file")
     p.set_defaults(func=_cmd_galois_dual)
-    p = galois.add_parser("enumerate")
+    p = galois.add_parser("enumerate", parents=[shared])
     p.add_argument("source")
     p.add_argument("target")
     p.set_defaults(func=_cmd_galois_enumerate)
-    p = galois.add_parser("classify")
+    p = galois.add_parser("classify", parents=[shared])
     p.add_argument("file")
     p.set_defaults(func=_cmd_galois_classify)
 
-    hilbert = sub.add_parser("hilbert")
+    hilbert = sub.add_parser("hilbert", parents=[shared])
     hilbert.add_argument("op", choices=["meet", "join", "ortho", "sasaki"])
     hilbert.add_argument("a")
     hilbert.add_argument("b", nargs="?")
-    hilbert.add_argument("--tol", type=float, default=DEFAULT_TOL)
     hilbert.set_defaults(func=_cmd_hilbert)
 
     compound = sub.add_parser("compound").add_subparsers(dest="sub", required=True)
-    p = compound.add_parser("quadruple")
+    p = compound.add_parser("quadruple", parents=[shared])
     p.add_argument("file")
     p.set_defaults(func=_cmd_compound_quadruple)
-    p = compound.add_parser("tensor")
+    p = compound.add_parser("tensor", parents=[shared])
     p.add_argument("file")
     p.set_defaults(func=_cmd_compound_tensor)
-    p = compound.add_parser("probe")
+    p = compound.add_parser("probe", parents=[shared])
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--samples", type=int, default=200)
@@ -368,35 +371,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compound_probe)
 
     cascade = sub.add_parser("cascade").add_subparsers(dest="sub", required=True)
-    p = cascade.add_parser("run")
+    p = cascade.add_parser("run", parents=[shared])
     p.add_argument("--state", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--order", default=cascade_mod.LEFT_FIRST,
                    choices=[cascade_mod.LEFT_FIRST, cascade_mod.RIGHT_FIRST])
     p.set_defaults(func=_cmd_cascade_run)
-    p = cascade.add_parser("verify")
+    p = cascade.add_parser("verify", parents=[shared])
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_cascade_verify)
 
     quantale = sub.add_parser("quantale").add_subparsers(dest="sub", required=True)
-    p = quantale.add_parser("check")
+    p = quantale.add_parser("check", parents=[shared])
     p.add_argument("file")
     p.set_defaults(func=_cmd_quantale_check)
-    p = quantale.add_parser("epi")
+    p = quantale.add_parser("epi", parents=[shared])
     p.add_argument("file")
     p.set_defaults(func=_cmd_quantale_epi)
 
-    verify = sub.add_parser("verify")
+    verify = sub.add_parser("verify", parents=[shared])
     verify.add_argument("suites", nargs="*",
                         help=f"suites to run (default: all of {SUITE_NAMES})")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=int, default=100)
     verify.set_defaults(func=_cmd_verify)
 
-    convert = sub.add_parser("convert")
+    convert = sub.add_parser("convert", parents=[shared])
     convert.add_argument("input")
     convert.add_argument("output", nargs="?")
     convert.add_argument("--from", dest="source_format", required=True,
@@ -410,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        defaults = argparse.Namespace(json=False, quiet=False, tol=DEFAULT_TOL)
+        args = parser.parse_args(argv, defaults)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else OK
     try:

@@ -10,7 +10,6 @@ separation map on top and the constant-bottom (absurd) map at the bottom.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -36,15 +35,11 @@ def is_join_preserving(table: Sequence[int], source: FiniteLattice,
     if len(table) != n:
         return False
     for v in table:
-        if not 0 <= v < len(target):
+        if not isinstance(v, (int, np.integer)) or not 0 <= v < len(target):
             return False
     if table[source.bottom] != target.bottom:
         return False
-    for x in range(n):
-        for y in range(x, n):
-            if table[source.join2(x, y)] != target.join2(table[x], table[y]):
-                return False
-    return True
+    return _preserves(table, source.join_table, target.join_table)
 
 
 def is_meet_preserving(table: Sequence[int], source: FiniteLattice,
@@ -54,13 +49,20 @@ def is_meet_preserving(table: Sequence[int], source: FiniteLattice,
     if len(table) != n:
         return False
     for v in table:
-        if not 0 <= v < len(target):
+        if not isinstance(v, (int, np.integer)) or not 0 <= v < len(target):
             return False
     if table[source.top] != target.top:
         return False
-    for x in range(n):
-        for y in range(x, n):
-            if table[source.meet2(x, y)] != target.meet2(table[x], table[y]):
+    return _preserves(table, source.meet_table, target.meet_table)
+
+
+def _preserves(table: Sequence[int], op1: np.ndarray, op2: np.ndarray) -> bool:
+    """Whether table[op1[x, y]] == op2[table[x], table[y]] for all x <= y."""
+    op1, op2 = op1.tolist(), op2.tolist()  # lists index faster than numpy scalars
+    for x, row in enumerate(op1):
+        image = op2[table[x]]
+        for y in range(x, len(row)):
+            if table[row[y]] != image[table[y]]:
                 return False
     return True
 
@@ -248,8 +250,10 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice,
     """Enumerate every join-preserving map from ``source`` to ``target``.
 
     Candidates are generated by choosing images for the join-irreducible
-    elements only and extending by joins, then filtered by the full
-    preservation check. Guarded to ``max_side`` elements per lattice.
+    elements only and extending by joins, all at once as one integer array;
+    the distinct ones are filtered by the full preservation check (bottom
+    and every binary join) in one array comparison. The lattice of maps
+    takes O(|Q|^2) memory. Guarded to ``max_side`` elements per lattice.
     """
     if len(source) > max_side or len(target) > max_side:
         raise TooLarge(
@@ -257,21 +261,29 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice,
             f"{len(source)} and {len(target)}"
         )
     jis = source.join_irreducibles()
-    below = [
-        [i for i, ji in enumerate(jis) if source.leq[ji, x]]
-        for x in range(len(source))
-    ]
-    tables = set()
-    for assign in itertools.product(range(len(target)), repeat=len(jis)):
-        table = tuple(
-            target.join([assign[i] for i in below[x]]) for x in range(len(source))
-        )
-        if table not in tables and is_join_preserving(table, source, target):
-            tables.add(table)
-    ordered = sorted(tables)
+    dtype = np.min_scalar_type(len(target))
+    join = target.join_table.astype(dtype)
+    # assign[i]: the image of jis[i] in each candidate
+    assign = np.indices((len(target),) * len(jis), dtype=dtype).reshape(
+        len(jis), len(target) ** len(jis)
+    )
+    candidates = np.full((assign.shape[1], len(source)), target.bottom, dtype=dtype)
+    for x in range(len(source)):
+        for i, ji in enumerate(jis):
+            if source.leq[ji, x]:
+                candidates[:, x] = join[candidates[:, x], assign[i]]
+    # distinct rows in lexicographic order, as np.unique(axis=0) gives them but faster
+    candidates = candidates[np.lexsort(candidates.T[::-1])]
+    candidates = candidates[np.r_[True, (candidates[1:] != candidates[:-1]).any(axis=1)]]
+    xs, ys = np.triu_indices(len(source))
+    preserved = (candidates[:, source.bottom] == target.bottom) & (
+        candidates[:, source.join_table[xs, ys]]
+        == join[candidates[:, xs], candidates[:, ys]]
+    ).all(axis=1)
+    arr = candidates[preserved]
+    ordered = [tuple(t) for t in arr.tolist()]
     maps = tuple(JoinMap(source=source, target=target, table=t) for t in ordered)
 
-    arr = np.array(ordered, dtype=np.intp).reshape(len(ordered), len(source))
     order = target.leq[arr[:, None, :], arr[None, :, :]].all(axis=2)
     labels = [",".join(str(v) for v in t) for t in ordered]
     lat = lattice_from_order(labels, order)

@@ -3,7 +3,9 @@
 Elements are identified by integer position; textual labels are carried
 for display only. The order relation and the meet/join operations are
 dense tables validated exhaustively at construction time, after which a
-lattice is immutable and safe to share between threads.
+lattice is immutable and safe to share between threads. The meet and join
+tables are built one row at a time over bit-mask down-sets, so building an
+n-element lattice needs O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -128,30 +130,36 @@ class FiniteLattice:
         return len(self) == len(other) and bool(np.array_equal(self.leq, other.leq))
 
 
-def _bound_tables(leq: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Compute meet and join tables from a validated order matrix."""
-    n = leq.shape[0]
-    # lower[z, x, y]: z is a common lower bound of x and y
-    lower = (leq[:, :, None] & leq[:, None, :]).reshape(n, n * n)
-    # viol[z, pair] counts lower bounds w with not (w <= z)
-    viol = (~leq).T.astype(np.float32) @ lower.astype(np.float32)
-    greatest = lower & (viol < 0.5)
-    found = greatest.any(axis=0)
-    if not found.all():
-        x, y = divmod(int(np.flatnonzero(~found)[0]), n)
-        raise NotALattice(f"elements {labels[x]!r} and {labels[y]!r} have no meet")
-    meet_table = greatest.argmax(axis=0).reshape(n, n)
+def _bitsets(rows: np.ndarray) -> list[int]:
+    """Each row as an int whose bit j is set iff the row holds at column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-    above = leq.T
-    upper = (above[:, :, None] & above[:, None, :]).reshape(n, n * n)
-    viol = (~leq).astype(np.float32) @ upper.astype(np.float32)
-    least = upper & (viol < 0.5)
-    found = least.any(axis=0)
-    if not found.all():
-        x, y = divmod(int(np.flatnonzero(~found)[0]), n)
-        raise NotALattice(f"elements {labels[x]!r} and {labels[y]!r} have no join")
-    join_table = least.argmax(axis=0).reshape(n, n)
-    return meet_table, join_table
+
+def _glb_table(leq: np.ndarray, labels: Sequence[str], what: str) -> np.ndarray:
+    """Greatest lower bounds of all pairs of a validated order, row by row.
+
+    Sorting by down-set size gives a linear extension, in which the greatest
+    lower bound of x and y, if any, is their last common lower bound. On the
+    transposed order the same function gives the least upper bounds.
+    """
+    n = leq.shape[0]
+    ext = np.argsort(leq.sum(axis=0), kind="stable")
+    # down[x] has bit r set iff the r-th element of the extension is <= x
+    down = _bitsets(leq[ext].T)
+    ext = ext.tolist()
+    table = [[0] * n for _ in range(n)]
+    for x, down_x in enumerate(down):
+        row = table[x]
+        for y in range(x, n):
+            common = down_x & down[y]
+            z = ext[common.bit_length() - 1]
+            if not common or common & ~down[z]:
+                raise NotALattice(
+                    f"elements {labels[x]!r} and {labels[y]!r} have no {what}"
+                )
+            row[y] = table[y][x] = z
+    return np.array(table, dtype=np.intp)
 
 
 def lattice_from_order(elements: Sequence[str], leq: np.ndarray) -> FiniteLattice:
@@ -179,16 +187,22 @@ def lattice_from_order(elements: Sequence[str], leq: np.ndarray) -> FiniteLattic
     if sym.any():
         x, y = map(int, np.argwhere(sym)[0])
         raise NotAPoset(f"not antisymmetric: {labels[x]!r} and {labels[y]!r} form a cycle")
-    reach = (rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0
-    gap = reach & ~rel
-    if gap.any():
-        x, y = map(int, np.argwhere(gap)[0])
-        raise NotAPoset(
-            f"not transitive: {labels[x]!r} reaches {labels[y]!r} in two steps "
-            "but the pair is not related"
-        )
+    # x reaches y in two steps iff y is above something above x
+    up = _bitsets(rel)
+    reach = [0] * n
+    for x, z in np.argwhere(rel).tolist():
+        reach[x] |= up[z]
+    for x in range(n):
+        gap = reach[x] & ~up[x]
+        if gap:
+            y = (gap & -gap).bit_length() - 1
+            raise NotAPoset(
+                f"not transitive: {labels[x]!r} reaches {labels[y]!r} in two steps "
+                "but the pair is not related"
+            )
 
-    meet_table, join_table = _bound_tables(rel, labels)
+    meet_table = _glb_table(rel, labels, "meet")
+    join_table = _glb_table(rel.T, labels, "join")
     bottoms = np.flatnonzero(rel.all(axis=1))
     tops = np.flatnonzero(rel.all(axis=0))
     if bottoms.size == 0 or tops.size == 0:

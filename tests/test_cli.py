@@ -84,6 +84,16 @@ def test_galois_enumerate(files, capsys):
     assert payload["count"] == 4
 
 
+def test_shared_flags_work_after_the_subcommand(files, capsys):
+    l1 = files("b2.json", jsonio.dump_lattice(boolean(2).base))
+    l2 = files("c2.json", jsonio.dump_lattice(chain(2)))
+    assert main(["galois", "enumerate", l1, l2, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 4
+    assert main(["galois", "enumerate", l1, l2, "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["verify", "orthomodular", "--trials", "20", "--tol", "0"]) == 1
+
+
 def test_hilbert_ops(files, capsys):
     e1 = files("e1.json", jsonio.dump_matrix(np.array([[1.0], [0.0]])))
     diag = files("diag.json", jsonio.dump_matrix(np.array([[1.0], [1.0]])))

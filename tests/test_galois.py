@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from compoundness.galois import (
     separation_state,
 )
 
-from oracles import brute_join_maps, brute_meet_maps
+from oracles import brute_glb, brute_join_maps, brute_meet_maps
 
 B2 = boolean(2).base
 CHAIN2 = chain(2)
@@ -261,6 +262,35 @@ def test_qlattice_meet_is_the_pointwise_join_of_lower_bounds():
         ]
         expected = pointwise_join(lower, source=B2, target=CHAIN3)
         assert q.lattice.meet2(i, j) == q.index_of(expected)
+
+
+def test_qlattice_meet_table_matches_brute_force_on_the_pointwise_order():
+    for l1, l2 in itertools.product(standard_lattices().values(), repeat=2):
+        q = enumerate_Q(l1, l2)
+        t = np.array([f.table for f in q.maps])
+        order = l2.leq[t[:, None, :], t[None, :, :]].all(axis=2)
+        for i in range(len(q)):
+            for j in range(i, len(q)):
+                assert q.lattice.meet_table[i, j] == brute_glb(order, [i, j])
+
+
+def test_q_lattice_build_stays_in_quadratic_memory():
+    # a cubic meet/join build needs over 200 MB here
+    tracemalloc.start()
+    try:
+        enumerate_Q(chain(6), chain(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_in_guard_pair_that_ran_out_of_memory_enumerates():
+    # 1,080 maps: a cubic meet/join build needs several GB for this pair
+    mo3 = mo(3).base
+    q = enumerate_Q(mo3, MO2)
+    assert len(q) == 1080
+    assert {f.table for f in q.maps} == brute_join_maps(mo3, MO2)
 
 
 def test_qlattice_closed_under_arbitrary_pointwise_joins():

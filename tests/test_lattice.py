@@ -123,7 +123,9 @@ def test_atoms_cover_the_bottom(lat, expected):
 
 
 @pytest.mark.parametrize(
-    "lat", [chain(3), boolean(2).base, mo(2).base, boolean(3).base]
+    "lat",
+    [chain(3), boolean(2).base, mo(2).base, boolean(3).base, mo(3).base]
+    + [chain(n) for n in (2, 4, 5, 6, 7)],
 )
 def test_meet_join_are_bounds_for_every_subset(lat):
     indices = range(len(lat))
