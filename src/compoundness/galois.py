@@ -11,7 +11,7 @@ separation map on top and the constant-bottom (absurd) map at the bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -132,10 +132,11 @@ def galois_dual(f: JoinMap) -> MeetMap:
     f*(b) is the join of every a with f(a) <= b, i.e. the weakest cause of
     b; the pair satisfies a <= f*(b) iff f(a) <= b.
     """
+    leq, join = f.target.leq.tolist(), f.source.join_table.tolist()
     table = []
     for b in range(len(f.target)):
-        causes = [a for a in range(len(f.source)) if f.target.leq[f.table[a], b]]
-        table.append(f.source.join(causes))
+        causes = [a for a, fa in enumerate(f.table) if leq[fa][b]]
+        table.append(reduce(lambda x, y: join[x][y], causes, f.source.bottom))
     return MeetMap(source=f.target, target=f.source, table=tuple(table))
 
 
@@ -146,10 +147,11 @@ def adjoint_of_meetmap(g: MeetMap) -> JoinMap:
     because g preserves meets. Round-trips with :func:`galois_dual`.
     """
     l2, l1 = g.source, g.target
+    leq, meet = l1.leq.tolist(), l2.meet_table.tolist()
     table = []
     for a in range(len(l1)):
-        candidates = [b for b in range(len(l2)) if l1.leq[a, g.table[b]]]
-        table.append(l2.meet(candidates))
+        candidates = [b for b, gb in enumerate(g.table) if leq[a][gb]]
+        table.append(reduce(lambda x, y: meet[x][y], candidates, l2.top))
     return JoinMap(source=l1, target=l2, table=tuple(table))
 
 

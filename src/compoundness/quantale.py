@@ -8,12 +8,14 @@ reading each transition at the property level yields a join-preserving
 propagation of properties. That reading is a quantale morphism, which
 :func:`epimorphism_check` verifies on explicit samples.
 
-Subsets of the state space are represented as bitmasks throughout.
+Subsets of the state space are represented as bitmasks throughout. The
+bulk checks (membership, enumeration, the composition and union tables, the
+morphism check) index one array, the act table of k maps on n states: a
+(k, 2**n) array whose row i is map i's image of every subset mask.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -58,12 +60,11 @@ class ProperStateSpace:
 
     @cached_property
     def _strongest_by_mask(self) -> tuple[int, ...]:
-        out = [self.lattice.bottom]
-        join2 = self.lattice.join_table
-        for mask in range(1, 1 << len(self.states)):
-            low = (mask & -mask).bit_length() - 1
-            out.append(int(join2[out[mask & (mask - 1)], self.c_map[low]]))
-        return tuple(out)
+        # a mask's property: its highest state's property joined with the rest's
+        out = np.array([self.lattice.bottom])
+        for value in self.c_map:
+            out = np.concatenate([out, self.lattice.join_table[out, value]])
+        return tuple(out.tolist())
 
     def strongest_property(self, mask: int) -> int:
         """C(T): the join of the states' properties; C of empty is bottom."""
@@ -71,14 +72,8 @@ class ProperStateSpace:
 
     @cached_property
     def _closure_by_property(self) -> tuple[int, ...]:
-        out = []
-        for prop in range(len(self.lattice)):
-            mask = 0
-            for i, value in enumerate(self.c_map):
-                if self.lattice.leq[value, prop]:
-                    mask |= 1 << i
-            out.append(mask)
-        return tuple(out)
+        below = self.lattice.leq[list(self.c_map)].T.astype(np.int64)
+        return tuple((below @ (1 << np.arange(len(self.states)))).tolist())
 
     def closure(self, mask: int) -> int:
         """The induced closure: every state whose property is below C(T)."""
@@ -109,11 +104,7 @@ class TransitionMap:
         return cls(space, tuple(space.mask(img) for img in images))
 
     def act(self, mask: int) -> int:
-        out = 0
-        for i in range(len(self.space)):
-            if mask >> i & 1:
-                out |= self.images[i]
-        return out
+        return int(_act_table(_image_array([self], len(self.space)))[0, mask])
 
     def __repr__(self) -> str:
         parts = ", ".join(
@@ -131,45 +122,56 @@ def empty_transition(space: ProperStateSpace) -> TransitionMap:
     return TransitionMap(space, (0,) * len(space))
 
 
+def _image_array(maps: Sequence[TransitionMap], n: int) -> np.ndarray:
+    """The (k, n) array of singleton images of k maps on n states."""
+    return np.array([f.images for f in maps], dtype=np.int64).reshape(len(maps), n)
+
+
+def _act_table(images: np.ndarray) -> np.ndarray:
+    """Act table of maps with singleton images ``images`` (k, n); a mask's
+    image is its highest state's image or'd with the image of the rest."""
+    act = np.zeros((len(images), 1), dtype=images.dtype)
+    for column in images.T:
+        act = np.concatenate([act, act | column[:, None]], axis=1)
+    return act
+
+
+def _compatible(space: ProperStateSpace, images: np.ndarray) -> np.ndarray:
+    """Per row of ``images``: whether f(cl(T)) lies in cl(f(T)) for all T."""
+    closure = np.array(space._closure_by_property)[list(space._strongest_by_mask)]
+    act = _act_table(images)
+    return ~(act[:, closure] & ~closure[act]).any(axis=1)
+
+
 def is_member(f: TransitionMap) -> bool:
     """Closure compatibility: f(cl(T)) is contained in cl(f(T)) for all T."""
-    space = f.space
-    for mask in space.all_subsets():
-        if f.act(space.closure(mask)) & ~space.closure(f.act(mask)):
-            return False
-    return True
+    return bool(_compatible(f.space, _image_array([f], len(f.space)))[0])
 
 
-def compose(outer: TransitionMap, inner: TransitionMap,
-            check: bool = True) -> TransitionMap:
+def compose(outer: TransitionMap, inner: TransitionMap) -> TransitionMap:
     """(outer o inner)(T) = outer(inner(T)); membership is preserved."""
     if outer.space is not inner.space and outer.space.states != inner.space.states:
         raise NotMember("transition maps act on different state spaces")
-    if check and not (is_member(outer) and is_member(inner)):
+    if not (is_member(outer) and is_member(inner)):
         raise NotMember("can only compose closure-compatible transition maps")
-    images = tuple(outer.act(inner.images[i]) for i in range(len(inner.space)))
-    result = TransitionMap(inner.space, images)
-    if check and not is_member(result):
+    result = TransitionMap(inner.space, tuple(outer.act(image) for image in inner.images))
+    if not is_member(result):
         raise NotMember("composition left the quantale; closure check failed")
     return result
 
 
 def union_join(maps: Sequence[TransitionMap],
-               space: ProperStateSpace | None = None,
-               check: bool = True) -> TransitionMap:
+               space: ProperStateSpace | None = None) -> TransitionMap:
     """Pointwise union; the empty union is the constant-empty bottom map."""
     maps = list(maps)
     if not maps:
         if space is None:
             raise ValueError("the empty union needs an explicit state space")
         return empty_transition(space)
-    if check and not all(is_member(f) for f in maps):
+    if not all(is_member(f) for f in maps):
         raise NotMember("can only join closure-compatible transition maps")
-    n = len(maps[0].space)
-    images = tuple(
-        int(np.bitwise_or.reduce([f.images[i] for f in maps])) for i in range(n)
-    )
-    return TransitionMap(maps[0].space, images)
+    images = np.bitwise_or.reduce(_image_array(maps, len(maps[0].space)))
+    return TransitionMap(maps[0].space, tuple(images.tolist()))
 
 
 def property_propagation(f: TransitionMap) -> JoinMap:
@@ -182,37 +184,29 @@ def property_propagation(f: TransitionMap) -> JoinMap:
     properties join-generate the lattice.
     """
     space = f.space
-    lattice = space.lattice
-    seen: dict[int, tuple[int, int]] = {}
-    for mask in space.all_subsets():
-        prop = space.strongest_property(mask)
-        value = space.strongest_property(f.act(mask))
-        if prop in seen and seen[prop][0] != value:
+    strongest = space._strongest_by_mask
+    act = _act_table(_image_array([f], len(space)))[0].tolist()
+    first: dict[int, int] = {}
+    for mask, prop in enumerate(strongest):
+        seen = first.setdefault(prop, mask)
+        if strongest[act[mask]] != strongest[act[seen]]:
             raise IllDefined(
                 "propagation is not well defined on equal-property subsets",
-                witness=(space.subset_labels(seen[prop][1]),
-                         space.subset_labels(mask)),
+                witness=(space.subset_labels(seen), space.subset_labels(mask)),
             )
-        seen.setdefault(prop, (value, mask))
-    table = tuple(
-        space.strongest_property(f.act(space._closure_by_property[x]))
-        for x in range(len(lattice))
-    )
-    return JoinMap(source=lattice, target=lattice, table=table)
+    table = tuple(strongest[act[below]] for below in space._closure_by_property)
+    return JoinMap(source=space.lattice, target=space.lattice, table=table)
 
 
 def enumerate_members(space: ProperStateSpace,
                       max_states: int = ENUMERATION_GUARD) -> tuple[TransitionMap, ...]:
-    """All closure-compatible transition maps, in a canonical order."""
+    """All closure-compatible transition maps, in lexicographic order of images."""
     n = len(space)
     if n > max_states:
         raise TooLarge(f"enumeration guard is {max_states} states, got {n}")
-    members = []
-    for images in itertools.product(range(1 << n), repeat=n):
-        candidate = TransitionMap(space, images)
-        if is_member(candidate):
-            members.append(candidate)
-    return tuple(members)
+    candidates = np.indices((1 << n,) * n).reshape(n, 1 << n * n).T
+    kept = candidates[_compatible(space, candidates)]
+    return tuple(TransitionMap(space, tuple(images)) for images in kept.tolist())
 
 
 @dataclass(frozen=True)
@@ -238,33 +232,26 @@ class EpimorphismReport:
 
 def epimorphism_check(space: ProperStateSpace,
                       sample: Sequence[TransitionMap]) -> EpimorphismReport:
-    """Verify propagation respects composition and union on all pairs."""
-    props = [property_propagation(f) for f in sample]
-    prop_cache: dict[tuple[int, ...], tuple[int, ...]] = {
-        f.images: p.table for f, p in zip(sample, props)
-    }
+    """Verify propagation respects composition and union on all pairs.
 
-    def propagation_table(f: TransitionMap) -> tuple[int, ...]:
-        table = prop_cache.get(f.images)
-        if table is None:
-            table = property_propagation(f).table
-            prop_cache[f.images] = table
-        return table
-
-    n_lattice = len(space.lattice)
+    Sample maps go through :func:`property_propagation`, so an ill-defined
+    or non-join-preserving one raises. Their composites and unions need no
+    such check: C(T) = C(T') gives C(fgT) = C(fgT'), and C(fT u gT) = C(fT) v C(gT).
+    """
+    props = np.array([property_propagation(f).table for f in sample],
+                     dtype=np.int64).reshape(len(sample), len(space.lattice))
+    strongest = np.array(space._strongest_by_mask)
+    join2 = space.lattice.join_table
+    act = _act_table(_image_array(sample, len(space)))
+    # row j: map j's image of the states below each property
+    act_below = act[:, list(space._closure_by_property)]
     failures: list[PairFailure] = []
-    for (i, f), (j, g) in itertools.product(enumerate(sample), repeat=2):
-        composed = propagation_table(compose(f, g, check=False))
-        expected = tuple(props[i].table[props[j].table[x]] for x in range(n_lattice))
-        if composed != expected:
-            failures.append(PairFailure("composition", repr(f), repr(g)))
-        joined = propagation_table(union_join([f, g], check=False))
-        join2 = space.lattice.join_table
-        expected = tuple(
-            int(join2[props[i].table[x], props[j].table[x]]) for x in range(n_lattice)
-        )
-        if joined != expected:
-            failures.append(PairFailure("union", repr(f), repr(g)))
+    for i, f in enumerate(sample):
+        composed = (strongest[act[i][act_below]] != props[i][props]).any(axis=1)
+        joined = (strongest[act_below[i] | act_below] != join2[props[i], props]).any(axis=1)
+        for j in np.flatnonzero(composed | joined):
+            failures += [PairFailure(law, repr(f), repr(sample[j]))
+                         for law, bad in (("composition", composed), ("union", joined)) if bad[j]]
     return EpimorphismReport(pairs=len(sample) ** 2, failures=tuple(failures))
 
 
@@ -282,30 +269,37 @@ class QuantaleLawReport:
 
     @property
     def ok(self) -> bool:
-        return (self.associative and self.left_distributive
-                and self.union_closed and self.bottom_is_empty
-                and self.epimorphism.ok)
+        return (self.associative and self.left_distributive and self.right_distributive
+                and self.union_closed and self.bottom_is_empty and self.epimorphism.ok)
 
 
 def transition_tables(members: Sequence[TransitionMap]) -> tuple[np.ndarray, np.ndarray]:
     """Index tables for composition and union over ``members``.
 
     ``comp[i, j]`` is the index of members[i] o members[j] and
-    ``union[i, j]`` of their pointwise union; both products stay inside
-    the member set, which these tables implicitly verify.
+    ``union[i, j]`` of their pointwise union, found by mixed-radix image
+    code (base 2**n, a digit per state); of equal members the last counts.
+    A product outside ``members`` raises NotMember.
     """
-    index = {f.images: i for i, f in enumerate(members)}
     m = len(members)
     if m > 350:
         raise TooLarge(f"exhaustive triple checks are guarded to 350 members, got {m}")
-    comp = np.empty((m, m), dtype=np.int16)
-    union = np.empty((m, m), dtype=np.int16)
-    for i, f in enumerate(members):
-        for j, g in enumerate(members):
-            composed = tuple(f.act(g.images[k]) for k in range(len(g.space)))
-            comp[i, j] = index[composed]
-            union[i, j] = index[tuple(a | b for a, b in zip(f.images, g.images))]
-    return comp, union
+    n = len(members[0].space) if members else 0
+    if n > 7:
+        raise TooLarge(f"image codes fit in 64 bits up to 7 states, got {n}")
+    images = _image_array(members, n)
+    weights = (1 << n) ** np.arange(n, dtype=np.int64)
+    codes = images @ weights
+    order = np.argsort(codes, kind="stable")
+    tables = []
+    for law, products in (("composition", _act_table(images)[:, images]),
+                          ("union", images[:, None, :] | images[None, :, :])):
+        wanted = products @ weights
+        found = order[np.searchsorted(codes[order], wanted, side="right") - 1]
+        if not np.array_equal(codes[found], wanted):
+            raise NotMember(f"members are not closed under {law}")
+        tables.append(found.astype(np.int16))
+    return tables[0], tables[1]
 
 
 def check_quantale_laws(space: ProperStateSpace,
@@ -327,10 +321,11 @@ def check_quantale_laws(space: ProperStateSpace,
     right = bool(np.array_equal(comp[union],
                                 union[comp[:, None, :], comp[None, :, :]]))
 
-    total = union_join(members, space=space, check=False)
-    union_closed = is_member(total) and total.images in {f.images for f in members}
-    bottom_ok = empty_transition(space).images in {f.images for f in members}
-    epi = epimorphism_check(space, members)
+    images = _image_array(members, len(space))
+    total = np.bitwise_or.reduce(images, axis=0)
+    union_closed = bool(_compatible(space, total[None])[0]
+                        and (images == total).all(axis=1).any())
+    bottom_ok = bool((images == 0).all(axis=1).any())
     return QuantaleLawReport(
         members=len(members),
         associative=associative,
@@ -338,5 +333,5 @@ def check_quantale_laws(space: ProperStateSpace,
         right_distributive=right,
         union_closed=union_closed,
         bottom_is_empty=bottom_ok,
-        epimorphism=epi,
+        epimorphism=epimorphism_check(space, members),
     )

@@ -66,6 +66,31 @@ def brute_meet_maps(source, target) -> set[tuple[int, ...]]:
     return found
 
 
+def brute_members(leq: np.ndarray, c_map) -> set[tuple[frozenset[int], ...]]:
+    """Every closure-compatible transition map, as its images of the states.
+
+    A set T of states has the strongest property C(T), the least upper
+    bound of its states' properties, and the closure cl(T) of every state
+    whose property lies below C(T). A map, extended to sets by union, is a
+    member when f(cl(T)) is contained in cl(f(T)) for every T.
+    """
+    states = range(len(c_map))
+    subsets = [frozenset(t) for r in range(len(c_map) + 1)
+               for t in itertools.combinations(states, r)]
+
+    def closure(t):
+        strongest = brute_lub(leq, [c_map[s] for s in t])
+        return frozenset(s for s in states if leq[c_map[s], strongest])
+
+    def image(f, t):
+        return frozenset().union(*(f[s] for s in t))
+
+    return {
+        f for f in itertools.product(subsets, repeat=len(c_map))
+        if all(image(f, closure(t)) <= closure(image(f, t)) for t in subsets)
+    }
+
+
 def kron_state(tv) -> np.ndarray:
     """The compound state vector assembled directly in the product space."""
     d1 = tv.left_basis.shape[0]

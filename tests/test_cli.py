@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from compoundness import jsonio
+from compoundness import cli, jsonio
 from compoundness.catalog import boolean, chain, mo
 from compoundness.cli import main
 from compoundness.operators import TensorVector
-from compoundness.quantale import ProperStateSpace
+from compoundness.quantale import ProperStateSpace, check_quantale_laws
 
 
 @pytest.fixture()
@@ -153,6 +154,17 @@ def test_quantale_check_and_epi(files, capsys):
     assert "10 members" in capsys.readouterr().out
     assert main(["quantale", "epi", path]) == 0
     assert "0 failures" in capsys.readouterr().out
+
+
+def test_quantale_check_exits_one_when_any_law_fails(files, capsys, monkeypatch):
+    space = ProperStateSpace(("p", "q"), chain(2), (1, 1))
+    path = files("space.json", jsonio.dump_space(space))
+    broken = dataclasses.replace(check_quantale_laws(space), right_distributive=False)
+    monkeypatch.setattr(cli, "check_quantale_laws", lambda *_: broken)
+    assert main(["--json", "quantale", "check", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["right_distributive"] is False
+    assert payload["epimorphism_failures"] == 0 and payload["bottom_is_empty"] is True
 
 
 def test_verify_runs_named_suites(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -24,6 +25,7 @@ from compoundness.quantale import (
     transition_tables,
     union_join,
 )
+from oracles import brute_members
 
 CHAIN2 = chain(2)
 CHAIN3 = chain(3)
@@ -36,6 +38,11 @@ def two_state_space() -> ProperStateSpace:
 def three_state_space() -> ProperStateSpace:
     # p and q share the middle property, r carries the top
     return ProperStateSpace(("p", "q", "r"), CHAIN3, (1, 1, 2))
+
+
+def boolean_state_space() -> ProperStateSpace:
+    b2 = boolean(2).base
+    return ProperStateSpace(("p", "q", "r"), b2, (b2.index("a"), b2.index("b"), b2.index("a")))
 
 
 def test_strongest_property_and_closure():
@@ -132,6 +139,37 @@ def test_distributivity_exhaustive_on_three_states():
     assert np.array_equal(comp[comp], comp[:, comp])
 
 
+def test_transition_tables_reject_lists_not_closed_under_products():
+    space = two_state_space()
+    swap = TransitionMap.from_images(space, [["q"], ["p"]])
+    to_p = TransitionMap.from_images(space, [["p"], ["p"]])
+    to_q = TransitionMap.from_images(space, [["q"], ["q"]])
+    assert all(is_member(f) for f in (swap, to_p, to_q))
+    with pytest.raises(NotMember, match="composition"):
+        transition_tables([swap])  # swap o swap is the identity
+    with pytest.raises(NotMember, match="union"):
+        transition_tables([to_p, to_q])  # closed under composition only
+
+
+@pytest.mark.parametrize("make_space", [two_state_space, three_state_space, boolean_state_space])
+def test_members_and_tables_agree_with_the_set_level_oracle(make_space):
+    space = make_space()
+    members = enumerate_members(space)
+    as_sets = [
+        tuple(frozenset(s for s in range(len(space)) if image >> s & 1) for image in f.images)
+        for f in members
+    ]
+    assert len(set(as_sets)) == len(as_sets)
+    assert set(as_sets) == brute_members(space.lattice.leq, space.c_map)
+    comp, union = transition_tables(members)
+    for i, f in enumerate(as_sets):
+        for j, g in enumerate(as_sets):
+            assert as_sets[comp[i, j]] == tuple(
+                frozenset().union(*(f[t] for t in g_s)) for g_s in g
+            )
+            assert as_sets[union[i, j]] == tuple(a | b for a, b in zip(f, g))
+
+
 def test_composition_distributes_over_sampled_arbitrary_unions():
     space = three_state_space()
     members = enumerate_members(space)
@@ -139,8 +177,8 @@ def test_composition_distributes_over_sampled_arbitrary_unions():
     for _ in range(50):
         f = members[rng.integers(len(members))]
         gs = [members[i] for i in rng.integers(len(members), size=int(rng.integers(0, 5)))]
-        lhs = compose(f, union_join(gs, space=space), check=False)
-        rhs = union_join([compose(f, g, check=False) for g in gs], space=space)
+        lhs = compose(f, union_join(gs, space=space))
+        rhs = union_join([compose(f, g) for g in gs], space=space)
         assert lhs.images == rhs.images
 
 
@@ -228,10 +266,10 @@ def test_propagation_is_a_morphism_by_direct_comparison():
     for _ in range(50):
         f = members[rng.integers(len(members))]
         g = members[rng.integers(len(members))]
-        lhs = property_propagation(compose(f, g, check=False))
+        lhs = property_propagation(compose(f, g))
         rhs = compose_join_maps(property_propagation(f), property_propagation(g))
         assert lhs.table == rhs.table
-        lhs = property_propagation(union_join([f, g], check=False))
+        lhs = property_propagation(union_join([f, g]))
         rhs = pointwise_join([property_propagation(f), property_propagation(g)])
         assert lhs.table == rhs.table
 
@@ -241,6 +279,12 @@ def test_full_law_report_on_both_reference_spaces():
         report = check_quantale_laws(space)
         assert report.ok
         assert report.right_distributive  # observed to hold on these models
+
+
+def test_report_ok_requires_right_distributivity():
+    report = check_quantale_laws(two_state_space())
+    assert report.ok
+    assert not dataclasses.replace(report, right_distributive=False).ok
 
 
 def test_law_report_with_a_boolean_property_lattice():
@@ -259,18 +303,14 @@ def test_four_state_space_laws_on_sampled_triples():
     rng = np.random.default_rng(4)
     for _ in range(300):
         f, g, h = (members[i] for i in rng.integers(len(members), size=3))
-        assert compose(compose(f, g, check=False), h, check=False).images == \
-            compose(f, compose(g, h, check=False), check=False).images
-        lhs = compose(f, union_join([g, h], check=False), check=False)
-        rhs = union_join(
-            [compose(f, g, check=False), compose(f, h, check=False)], check=False
-        )
+        assert compose(compose(f, g), h).images == \
+            compose(f, compose(g, h)).images
+        lhs = compose(f, union_join([g, h]))
+        rhs = union_join([compose(f, g), compose(f, h)])
         assert lhs.images == rhs.images
-        lhs = compose(union_join([g, h], check=False), f, check=False)
-        rhs = union_join(
-            [compose(g, f, check=False), compose(h, f, check=False)], check=False
-        )
+        lhs = compose(union_join([g, h]), f)
+        rhs = union_join([compose(g, f), compose(h, f)])
         assert lhs.images == rhs.images
-        assert is_member(compose(f, g, check=False))
+        assert is_member(compose(f, g))
     sample = [members[i] for i in rng.integers(len(members), size=8)]
     assert epimorphism_check(space, sample).ok
