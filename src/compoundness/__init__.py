@@ -99,7 +99,6 @@ from .density import (
 from .cascade import (
     CascadeStep,
     CascadeTrace,
-    UpdateLawReport,
     born_probability,
     chain_order_check,
     check_prop2,
@@ -116,7 +115,7 @@ from .quantale import (
     property_propagation,
     union_join,
 )
-from .reporting import LawFailure, VerificationReport
+from .reporting import LawFailure, LawRecorder, VerificationReport
 from .suites import SUITE_NAMES, run_suite
 
 __version__ = "0.1.0"

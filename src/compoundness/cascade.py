@@ -22,9 +22,9 @@ from .density import (
     transition_probability,
 )
 from .errors import BadShape, DimensionMismatch, ZeroOperator, ZeroVector
-from .hilbert import DEFAULT_TOL, Subspace, sasaki_s
+from .hilbert import Subspace, sasaki_s
 from .operators import CompoundOperator, TensorVector, induced_map, quadruple
-from .reporting import LawFailure
+from .reporting import LawRecorder
 from .sampling import (
     random_density,
     random_density_in,
@@ -66,14 +66,20 @@ class CascadeTrace:
     joint_probability: float
 
 
-def _post_carrier(state: DensityState | None, ambient: int, tol: float) -> Subspace:
-    if state is None:
-        return Subspace.zero(ambient, tol)
-    return carrier(state, tol)
+def _step(side: int, kind: str, prop: Subspace, pre: DensityState,
+          carrier_pre: Subspace) -> CascadeStep:
+    """Update ``pre`` projectively onto ``prop``: no post-state on an orthogonal outcome."""
+    post = lueders(pre, prop)
+    if post is None:
+        probability, carrier_post = 0.0, Subspace.zero(prop.ambient_dim)
+    else:
+        probability = transition_probability(pre, prop) if kind == MEASURE else 1.0
+        carrier_post = carrier(post)
+    return CascadeStep(side, kind, prop, pre, post, probability, carrier_pre, carrier_post)
 
 
 def run_cascade(op: CompoundOperator, left_atom: Subspace, right_atom: Subspace,
-                order: str = LEFT_FIRST, tol: float = DEFAULT_TOL) -> CascadeTrace:
+                order: str = LEFT_FIRST) -> CascadeTrace:
     """Measure one atom per side, propagating the collapse across sides.
 
     With the default order: measure ``left_atom`` on the first reduced
@@ -90,63 +96,24 @@ def run_cascade(op: CompoundOperator, left_atom: Subspace, right_atom: Subspace,
             f"atoms must live in C^{op.dim_in} and C^{op.dim_out}"
         )
     quad = quadruple(op)
+    left, right = (1, quad.rho1, left_atom), (2, quad.rho2, right_atom)
     if order == LEFT_FIRST:
-        plan = [(1, quad.rho1, left_atom, quad.f12), (2, quad.rho2, right_atom, None)]
+        (side1, rho1, atom1), (side2, rho2, atom2), bridge = left, right, quad.f12
     elif order == RIGHT_FIRST:
-        plan = [(2, quad.rho2, right_atom, quad.f21), (1, quad.rho1, left_atom, None)]
+        (side1, rho1, atom1), (side2, rho2, atom2), bridge = right, left, quad.f21
     else:
         raise ValueError(f"order must be {LEFT_FIRST!r} or {RIGHT_FIRST!r}")
 
-    steps: list[CascadeStep] = []
-    first_side, first_state, first_atom, bridge = plan[0]
-    second_side, second_state, second_atom, _ = plan[1]
-
-    p_first = transition_probability(first_state, first_atom)
-    collapsed = lueders(first_state, first_atom)
-    steps.append(CascadeStep(
-        side=first_side,
-        kind=MEASURE,
-        measured_property=first_atom,
-        pre_state=first_state,
-        post_state=collapsed,
-        probability=p_first if collapsed is not None else 0.0,
-        carrier_pre=carrier(first_state, tol),
-        carrier_post=_post_carrier(collapsed, first_atom.ambient_dim, tol),
-    ))
-    if collapsed is None:
-        return CascadeTrace(tuple(steps), 0.0)
-
-    induced = induced_map(bridge)(carrier(collapsed, tol))
-    updated = lueders(second_state, induced)
-    steps.append(CascadeStep(
-        side=second_side,
-        kind=INDUCE,
-        measured_property=induced,
-        pre_state=second_state,
-        post_state=updated,
-        probability=1.0 if updated is not None else 0.0,
-        carrier_pre=carrier(second_state, tol),
-        carrier_post=_post_carrier(updated, second_atom.ambient_dim, tol),
-    ))
-    if updated is None:
-        return CascadeTrace(tuple(steps), 0.0)
-
-    p_second = transition_probability(updated, second_atom)
-    final = lueders(updated, second_atom)
-    steps.append(CascadeStep(
-        side=second_side,
-        kind=MEASURE,
-        measured_property=second_atom,
-        pre_state=updated,
-        post_state=final,
-        probability=p_second if final is not None else 0.0,
-        carrier_pre=carrier(updated, tol),
-        carrier_post=_post_carrier(final, second_atom.ambient_dim, tol),
-    ))
-    joint = 1.0
-    for step in steps:
-        joint *= step.probability
-    return CascadeTrace(tuple(steps), joint)
+    measured = _step(side1, MEASURE, atom1, rho1, carrier(rho1))
+    if measured.post_state is None:
+        return CascadeTrace((measured,), 0.0)
+    induced = _step(side2, INDUCE, induced_map(bridge)(measured.carrier_post),
+                    rho2, carrier(rho2))
+    if induced.post_state is None:
+        return CascadeTrace((measured, induced), 0.0)
+    final = _step(side2, MEASURE, atom2, induced.post_state, induced.carrier_post)
+    return CascadeTrace((measured, induced, final),
+                        measured.probability * induced.probability * final.probability)
 
 
 def born_probability(tv: TensorVector, psi, phi) -> float:
@@ -176,7 +143,7 @@ def born_probability(tv: TensorVector, psi, phi) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def chain_order_check(trace: CascadeTrace, tol: float | None = None) -> bool:
+def chain_order_check(trace: CascadeTrace) -> bool:
     """Whether carriers weakly descend along each side's subchain.
 
     Each step's post-carrier must be contained in its pre-carrier, and
@@ -188,68 +155,28 @@ def chain_order_check(trace: CascadeTrace, tol: float | None = None) -> bool:
     for step in trace.steps:
         per_side.setdefault(step.side, []).append(step)
     for steps in per_side.values():
-        for step in steps:
-            post = step.carrier_post
-            pre = step.carrier_pre
-            if tol is not None:
-                post = Subspace(post.frame, tol)
-                pre = Subspace(pre.frame, tol)
-            if not post.leq(pre):
-                return False
+        if not all(step.carrier_post.leq(step.carrier_pre) for step in steps):
+            return False
         for earlier, later in zip(steps, steps[1:]):
             if not later.carrier_pre.leq(earlier.carrier_post):
                 return False
     return True
 
 
-@dataclass(frozen=True)
-class UpdateLawReport:
-    """Randomized verification of the projective-update ordering laws."""
-
-    dim: int
-    trials: int
-    failures: tuple[LawFailure, ...]
-    max_discrepancy: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _describe(**parts) -> str:
-    rendered = []
-    for key in sorted(parts):
-        value = parts[key]
-        if isinstance(value, (int, float, str)):
-            rendered.append(f"{key}={value}")
-        else:
-            arr = np.array2string(np.asarray(value), precision=6,
-                                  separator=",", suppress_small=True)
-            rendered.append(f"{key}={arr}")
-    return " ".join(rendered).replace("\n", "")
-
-
 def check_prop2(dim: int, trials: int, rng: np.random.Generator | None = None,
-                tol: float = 1e-9) -> UpdateLawReport:
+                tol: float = 1e-9) -> LawRecorder:
     """Randomized checks that projective updates order proper states.
 
     Per trial: (i) states supported inside the updated property are fixed
     points; (ii) with commuting projectors and the state supported in b,
     updating by a keeps the carrier inside b; (iii) updating by a then by
     a nested a' equals updating by a' alone; and the carrier of an update
-    equals the Sasaki projection of the carrier onto the property.
+    equals the Sasaki projection of the carrier onto the property. Returns
+    the recorder of all these checks.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    failures: list[LawFailure] = []
-    worst = 0.0
-
-    def record(law: str, discrepancy: float, **inputs) -> None:
-        nonlocal worst
-        worst = max(worst, discrepancy)
-        if discrepancy > tol:
-            failures.append(LawFailure(law, _describe(**inputs), discrepancy))
-
+    rec = LawRecorder(tol)
     for _ in range(trials):
         # (i) fixed point: carrier(rho) inside a
         a = random_subspace(rng, dim, rank=int(rng.integers(1, dim + 1)))
@@ -257,7 +184,7 @@ def check_prop2(dim: int, trials: int, rng: np.random.Generator | None = None,
         updated = lueders(rho, a)
         gap = (np.linalg.norm(updated.matrix - rho.matrix)
                if updated is not None else np.inf)
-        record("fixed-point", float(gap), a=a.frame, rho=rho.matrix)
+        rec.check("fixed-point", gap, a=a.frame, rho=rho.matrix)
 
         # carrier bridge: carrier of the update is the Sasaki projection
         rho = random_density(rng, dim, rank=int(rng.integers(1, dim + 1)))
@@ -267,7 +194,7 @@ def check_prop2(dim: int, trials: int, rng: np.random.Generator | None = None,
             lhs = carrier(updated)
             rhs = sasaki_s(a, carrier(rho))
             gap = np.linalg.norm(lhs.projector() - rhs.projector())
-            record("carrier-bridge", float(gap), a=a.frame, rho=rho.matrix)
+            rec.check("carrier-bridge", gap, a=a.frame, rho=rho.matrix)
 
         # (ii) commuting compatibility: shared eigenbasis projectors
         basis = random_unitary(rng, dim)
@@ -284,8 +211,7 @@ def check_prop2(dim: int, trials: int, rng: np.random.Generator | None = None,
             gap = np.linalg.norm(
                 (np.eye(dim) - b.projector()) @ moved.projector()
             )
-            record("commuting-stability", float(gap),
-                   a=a.frame, b=b.frame, rho=rho.matrix)
+            rec.check("commuting-stability", gap, a=a.frame, b=b.frame, rho=rho.matrix)
 
         # (iii) nested composition: a' inside a absorbs the outer update
         na = int(rng.integers(1, dim + 1))
@@ -297,8 +223,7 @@ def check_prop2(dim: int, trials: int, rng: np.random.Generator | None = None,
             twice = lueders(lueders(rho, a), a_inner)
             gap = (np.linalg.norm(twice.matrix - once.matrix)
                    if once is not None and twice is not None else np.inf)
-            record("nested-composition", float(gap),
-                   a=a.frame, a_inner=a_inner.frame, rho=rho.matrix)
+            rec.check("nested-composition", gap,
+                      a=a.frame, a_inner=a_inner.frame, rho=rho.matrix)
 
-    return UpdateLawReport(dim=dim, trials=trials,
-                           failures=tuple(failures), max_discrepancy=worst)
+    return rec

@@ -209,8 +209,8 @@ def _cmd_cascade_verify(args) -> int:
     if args.json:
         payload = {
             "update_laws": {
-                "dim": laws.dim,
-                "trials": laws.trials,
+                "dim": args.dim,
+                "trials": args.trials,
                 "max_discrepancy": laws.max_discrepancy,
                 "failures": [f.to_dict() for f in laws.failures],
             },
@@ -218,16 +218,8 @@ def _cmd_cascade_verify(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
     elif not args.quiet:
-        for name, ok, disc, failures in (
-            ("update-laws", laws.ok, laws.max_discrepancy, laws.failures),
-            ("cascade-born", born.ok, born.max_discrepancy, born.failures),
-        ):
-            status = "ok" if ok else f"{len(failures)} FAILURES"
-            print(f"{name:<14} trials={args.trials:<6} "
-                  f"max_discrepancy={disc:.3e}  {status}")
-            for failure in failures[:10]:
-                print(f"  violated {failure.law}: {failure.inputs} "
-                      f"(discrepancy {failure.discrepancy:.3e})")
+        _print_laws("update-laws", args.trials, laws.max_discrepancy, laws.failures)
+        _print_laws("cascade-born", born.trials, born.max_discrepancy, born.failures)
     return OK if laws.ok and born.ok else VIOLATION
 
 
@@ -273,21 +265,25 @@ def _cmd_quantale_epi(args) -> int:
 
 # -- verify / convert -----------------------------------------------------------
 
+def _print_laws(name: str, trials: int, max_discrepancy: float, failures,
+                elapsed: str = "") -> None:
+    """A status line, then the first ten violations."""
+    status = f"{len(failures)} FAILURES" if failures else "ok"
+    print(f"{name:<14} trials={trials:<6} "
+          f"max_discrepancy={max_discrepancy:.3e}{elapsed}  {status}")
+    for failure in failures[:10]:
+        print(f"  violated {failure.law}: {failure.inputs} "
+              f"(discrepancy {failure.discrepancy:.3e})")
+
+
 def _run_suites(args, names) -> int:
-    reports = []
-    for name in names:
-        reports.append(run_suite(name, args.seed, args.trials, tol=args.tol))
+    reports = [run_suite(name, args.seed, args.trials, tol=args.tol) for name in names]
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     elif not args.quiet:
         for r in reports:
-            status = "ok" if r.ok else f"{len(r.failures)} FAILURES"
-            print(f"{r.suite:<14} trials={r.trials:<6} "
-                  f"max_discrepancy={r.max_discrepancy:.3e} "
-                  f"elapsed={r.elapsed_s:.2f}s  {status}")
-            for failure in r.failures[:10]:
-                print(f"  violated {failure.law}: {failure.inputs} "
-                      f"(discrepancy {failure.discrepancy:.3e})")
+            _print_laws(r.suite, r.trials, r.max_discrepancy, r.failures,
+                        f" elapsed={r.elapsed_s:.2f}s")
     return OK if all(r.ok for r in reports) else VIOLATION
 
 

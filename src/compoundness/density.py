@@ -89,16 +89,15 @@ def transition_probability(rho: DensityState, a: Subspace) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def lueders(rho: DensityState, a: Subspace,
-            cutoff: float = ORTHOGONAL_CUTOFF) -> DensityState | None:
+def lueders(rho: DensityState, a: Subspace) -> DensityState | None:
     """Projective update of ``rho`` onto ``a``.
 
     Returns None when the outcome is (numerically) orthogonal, i.e. when
-    Tr(P_a rho) <= cutoff; otherwise P_a rho P_a renormalized. The carrier
-    of the result is always contained in ``a``.
+    Tr(P_a rho) <= ORTHOGONAL_CUTOFF; otherwise P_a rho P_a renormalized.
+    The carrier of the result is always contained in ``a``.
     """
     p = transition_probability(rho, a)
-    if p <= cutoff:
+    if p <= ORTHOGONAL_CUTOFF:
         return None
     proj = a.projector()
     updated = proj @ rho.matrix @ proj

@@ -25,6 +25,9 @@ from .errors import (
 from .lattice import FiniteLattice, lattice_from_order
 
 ENUMERATION_GUARD = 8
+# Q's order, meet and join tables take O(|Q|^2) memory: 3,432 maps (chain(8)
+# to chain(8)) need about 0.5 GB, the 13,376 of mo(3) to mo(3) several GB.
+Q_GUARD = 4096
 
 
 def is_join_preserving(table: Sequence[int], source: FiniteLattice,
@@ -247,19 +250,19 @@ class QLattice:
         return self.maps[self.lattice.bottom]
 
 
-def enumerate_Q(source: FiniteLattice, target: FiniteLattice,
-                max_side: int = ENUMERATION_GUARD) -> QLattice:
+def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
     """Enumerate every join-preserving map from ``source`` to ``target``.
 
     Candidates are generated by choosing images for the join-irreducible
     elements only and extending by joins, all at once as one integer array;
     the distinct ones are filtered by the full preservation check (bottom
     and every binary join) in one array comparison. The lattice of maps
-    takes O(|Q|^2) memory. Guarded to ``max_side`` elements per lattice.
+    takes O(|Q|^2) memory. Guarded to ``ENUMERATION_GUARD`` elements per
+    lattice, and to ``Q_GUARD`` maps before any table of Q is built.
     """
-    if len(source) > max_side or len(target) > max_side:
+    if len(source) > ENUMERATION_GUARD or len(target) > ENUMERATION_GUARD:
         raise TooLarge(
-            f"enumeration guard is {max_side} elements per side, got "
+            f"enumeration guard is {ENUMERATION_GUARD} elements per side, got "
             f"{len(source)} and {len(target)}"
         )
     jis = source.join_irreducibles()
@@ -283,6 +286,8 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice,
         == join[candidates[:, xs], candidates[:, ys]]
     ).all(axis=1)
     arr = candidates[preserved]
+    if len(arr) > Q_GUARD:
+        raise TooLarge(f"Q has {len(arr)} maps; its tables are built up to {Q_GUARD}")
     ordered = [tuple(t) for t in arr.tolist()]
     maps = tuple(JoinMap(source=source, target=target, table=t) for t in ordered)
 

@@ -198,12 +198,11 @@ def property_propagation(f: TransitionMap) -> JoinMap:
     return JoinMap(source=space.lattice, target=space.lattice, table=table)
 
 
-def enumerate_members(space: ProperStateSpace,
-                      max_states: int = ENUMERATION_GUARD) -> tuple[TransitionMap, ...]:
+def enumerate_members(space: ProperStateSpace) -> tuple[TransitionMap, ...]:
     """All closure-compatible transition maps, in lexicographic order of images."""
     n = len(space)
-    if n > max_states:
-        raise TooLarge(f"enumeration guard is {max_states} states, got {n}")
+    if n > ENUMERATION_GUARD:
+        raise TooLarge(f"enumeration guard is {ENUMERATION_GUARD} states, got {n}")
     candidates = np.indices((1 << n,) * n).reshape(n, 1 << n * n).T
     kept = candidates[_compatible(space, candidates)]
     return tuple(TransitionMap(space, tuple(images)) for images in kept.tolist())

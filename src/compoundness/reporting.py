@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class LawFailure:
@@ -17,6 +19,46 @@ class LawFailure:
     def to_dict(self) -> dict:
         return {"law": self.law, "inputs": self.inputs,
                 "discrepancy": self.discrepancy}
+
+
+def _describe(**parts) -> str:
+    rendered = []
+    for key in sorted(parts):
+        value = parts[key]
+        if isinstance(value, (int, float, str)):
+            rendered.append(f"{key}={value}")
+        else:
+            arr = np.array2string(np.asarray(value), precision=6,
+                                  separator=",", suppress_small=True)
+            rendered.append(f"{key}={arr}")
+    return " ".join(rendered).replace("\n", "")
+
+
+class LawRecorder:
+    """Collects law checks: the largest discrepancy and every failure past ``tol``."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.failures: list[LawFailure] = []
+        self.max_discrepancy = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def check(self, law: str, discrepancy: float, inputs: str = "", **arrays) -> None:
+        """Record one check; ``arrays`` are rendered as the inputs only on failure."""
+        discrepancy = float(discrepancy)
+        self.max_discrepancy = max(self.max_discrepancy, discrepancy)
+        if discrepancy > self.tol:
+            self.failures.append(LawFailure(law, inputs or _describe(**arrays), discrepancy))
+
+    def require(self, law: str, condition: bool, inputs: str = "") -> None:
+        self.check(law, 0.0 if condition else 1.0, inputs)
+
+    def absorb(self, other: "LawRecorder") -> None:
+        self.max_discrepancy = max(self.max_discrepancy, other.max_discrepancy)
+        self.failures.extend(other.failures)
 
 
 @dataclass(frozen=True)

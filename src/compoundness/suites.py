@@ -34,7 +34,7 @@ from .operators import (
     to_tensor,
 )
 from .quantale import ProperStateSpace, check_quantale_laws, enumerate_members
-from .reporting import LawFailure, VerificationReport
+from .reporting import LawRecorder, VerificationReport
 from .sampling import (
     random_nested_pair,
     random_operator,
@@ -56,21 +56,6 @@ SUITE_NAMES = (
 )
 
 
-class _Recorder:
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.failures: list[LawFailure] = []
-        self.max_discrepancy = 0.0
-
-    def check(self, law: str, discrepancy: float, inputs: str = "") -> None:
-        self.max_discrepancy = max(self.max_discrepancy, float(discrepancy))
-        if discrepancy > self.tol:
-            self.failures.append(LawFailure(law, inputs, float(discrepancy)))
-
-    def require(self, law: str, condition: bool, inputs: str = "") -> None:
-        self.check(law, 0.0 if condition else 1.0, inputs)
-
-
 def _lattice_pairs() -> list[tuple[str, str, FiniteLattice, FiniteLattice]]:
     lattices = standard_lattices()
     return [
@@ -86,8 +71,8 @@ def _enumerated_pairs():
     )
 
 
-def _suite_galois(rng: np.random.Generator, trials: int, tol: float) -> _Recorder:
-    rec = _Recorder(tol)
+def _suite_galois(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
+    rec = LawRecorder(tol)
     enumerated = _enumerated_pairs()
     for _ in range(trials):
         n1, n2, q = enumerated[rng.integers(len(enumerated))]
@@ -115,8 +100,8 @@ def _suite_galois(rng: np.random.Generator, trials: int, tol: float) -> _Recorde
     return rec
 
 
-def _suite_orthomodular(rng: np.random.Generator, trials: int, tol: float) -> _Recorder:
-    rec = _Recorder(tol)
+def _suite_orthomodular(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
+    rec = LawRecorder(tol)
     for _ in range(trials):
         dim = int(rng.integers(2, 5))
         inner, outer = random_nested_pair(rng, dim)
@@ -143,8 +128,8 @@ def _suite_orthomodular(rng: np.random.Generator, trials: int, tol: float) -> _R
     return rec
 
 
-def _suite_sasaki(rng: np.random.Generator, trials: int, tol: float) -> _Recorder:
-    rec = _Recorder(tol)
+def _suite_sasaki(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
+    rec = LawRecorder(tol)
     lantern = mo(2)
     for _ in range(trials):
         dim = int(rng.integers(2, 5))
@@ -179,8 +164,8 @@ def _suite_sasaki(rng: np.random.Generator, trials: int, tol: float) -> _Recorde
     return rec
 
 
-def _suite_tensor_iso(rng: np.random.Generator, trials: int, tol: float) -> _Recorder:
-    rec = _Recorder(tol)
+def _suite_tensor_iso(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
+    rec = LawRecorder(tol)
     for _ in range(trials):
         dim_left = int(rng.integers(1, 9))
         dim_right = int(rng.integers(1, 9))
@@ -203,8 +188,8 @@ def _suite_tensor_iso(rng: np.random.Generator, trials: int, tol: float) -> _Rec
     return rec
 
 
-def _suite_quadruple(rng: np.random.Generator, trials: int, tol: float) -> _Recorder:
-    rec = _Recorder(tol)
+def _suite_quadruple(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
+    rec = LawRecorder(tol)
     for _ in range(trials):
         d1 = int(rng.integers(1, 5))
         d2 = int(rng.integers(1, 5))
@@ -229,8 +214,8 @@ def _suite_quadruple(rng: np.random.Generator, trials: int, tol: float) -> _Reco
     return rec
 
 
-def _suite_cascade_born(rng: np.random.Generator, trials: int, tol: float) -> _Recorder:
-    rec = _Recorder(tol)
+def _suite_cascade_born(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
+    rec = LawRecorder(tol)
     for trial in range(trials):
         d1 = int(rng.integers(2, 5))
         d2 = int(rng.integers(2, 5))
@@ -263,13 +248,11 @@ def _suite_cascade_born(rng: np.random.Generator, trials: int, tol: float) -> _R
     return rec
 
 
-def _suite_prop2(rng: np.random.Generator, trials: int, tol: float) -> _Recorder:
-    rec = _Recorder(tol)
+def _suite_prop2(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
+    rec = LawRecorder(tol)
     for dim in (2, 3):
         sub_rng = np.random.default_rng(rng.integers(2**63))
-        report = cascade_mod.check_prop2(dim, trials // 2, rng=sub_rng, tol=tol)
-        rec.max_discrepancy = max(rec.max_discrepancy, report.max_discrepancy)
-        rec.failures.extend(report.failures)
+        rec.absorb(cascade_mod.check_prop2(dim, trials // 2, rng=sub_rng, tol=tol))
     return rec
 
 
@@ -279,8 +262,8 @@ def _quantale_spaces() -> list[ProperStateSpace]:
     return [two, three]
 
 
-def _suite_quantale(rng: np.random.Generator, trials: int, tol: float) -> _Recorder:
-    rec = _Recorder(tol)
+def _suite_quantale(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
+    rec = LawRecorder(tol)
     spaces = _quantale_spaces()
     lattice_pool = [chain(2), chain(3), boolean(2).base]
     # the space family is small, so repeated trials hit this cache

@@ -192,6 +192,15 @@ def test_cascade_verify_json_reports_both_campaigns(capsys):
     assert payload["cascade_born"]["failures"] == []
 
 
+def test_cascade_verify_text_reports_failures_of_both_campaigns(capsys):
+    assert main(["--tol", "0", "cascade", "verify", "--dim", "2", "--trials", "10"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("update-laws", "cascade-born"):
+        status = [line for line in lines if line.startswith(name)]
+        assert len(status) == 1 and "FAILURES" in status[0]
+    assert any(line.startswith("  violated ") for line in lines)
+
+
 def test_verify_unknown_suite_exits_two(capsys):
     assert main(["verify", "nope", "--trials", "1"]) == 2
     assert "unknown suite" in capsys.readouterr().err

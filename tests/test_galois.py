@@ -293,6 +293,12 @@ def test_in_guard_pair_that_ran_out_of_memory_enumerates():
     assert {f.table for f in q.maps} == brute_join_maps(mo3, MO2)
 
 
+def test_oversized_q_is_refused_before_its_tables_are_built():
+    # 13,376 maps: the order, meet and join tables would need several GB
+    with pytest.raises(TooLarge, match="13376 maps"):
+        enumerate_Q(mo(3).base, mo(3).base)
+
+
 def test_qlattice_closed_under_arbitrary_pointwise_joins():
     q = enumerate_Q(MO2, CHAIN3)
     rng = np.random.default_rng(11)

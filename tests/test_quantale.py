@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,9 +92,16 @@ def test_member_counts_on_the_reference_spaces():
 
 
 def test_enumeration_guard():
+    # 2^25 candidates and their act table would take several GB: refuse first
     space = ProperStateSpace(tuple("abcde"), CHAIN2, (1,) * 5)
-    with pytest.raises(TooLarge):
-        enumerate_members(space)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            enumerate_members(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_compose_with_identity_and_membership_preservation():

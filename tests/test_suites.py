@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from compoundness.errors import UnknownSuite
-from compoundness.reporting import LawFailure, VerificationReport
+from compoundness.reporting import LawFailure, LawRecorder, VerificationReport
 from compoundness.suites import SUITE_NAMES, run_suite
 
 
@@ -62,3 +63,45 @@ def test_impossible_tolerance_produces_recorded_failures():
     assert not report.ok
     assert all(f.discrepancy > 0.0 for f in report.failures)
     assert report.max_discrepancy == max(f.discrepancy for f in report.failures)
+
+
+class _Unrenderable:
+    def __repr__(self):
+        raise AssertionError("inputs of a passing check must not be rendered")
+
+
+def test_law_recorder_passing_check_raises_only_the_maximum():
+    rec = LawRecorder(tol=1e-9)
+    rec.check("law", 1e-12, a=_Unrenderable())
+    assert rec.failures == [] and rec.ok
+    assert rec.max_discrepancy == 1e-12
+
+
+def test_law_recorder_renders_failing_arrays_by_sorted_key_on_one_line():
+    rec = LawRecorder(tol=0.0)
+    rec.check("law", 0.5, rho=np.eye(2), a=np.array([[1.0], [0.0]]), dim=2)
+    assert rec.failures == [LawFailure("law", "a=[[1.], [0.]] dim=2 rho=[[1.,0.], [0.,1.]]", 0.5)]
+    rec.check("other", 0.25, "given text", a=np.eye(2))
+    assert rec.failures[-1].inputs == "given text"
+    assert not rec.ok
+
+
+def test_law_recorder_absorb_keeps_the_larger_maximum_and_appends_in_order():
+    first, second = LawRecorder(tol=0.1), LawRecorder(tol=0.1)
+    first.check("a", 0.3, "x")
+    second.check("b", 0.7, "y")
+    second.check("c", 0.2, "z")
+    first.absorb(second)
+    assert [f.law for f in first.failures] == ["a", "b", "c"]
+    assert first.max_discrepancy == 0.7
+    second.absorb(LawRecorder(tol=0.1))
+    assert second.max_discrepancy == 0.7
+
+
+def test_law_recorder_ok_exactly_when_nothing_failed():
+    rec = LawRecorder(tol=0.5)
+    rec.require("holds", True)
+    rec.check("within", 0.5)
+    assert rec.ok
+    rec.require("broken", False)
+    assert not rec.ok and len(rec.failures) == 1
