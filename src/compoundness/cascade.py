@@ -163,7 +163,7 @@ def chain_order_check(trace: CascadeTrace) -> bool:
     return True
 
 
-def check_prop2(dim: int, trials: int, rng: np.random.Generator | None = None,
+def check_prop2(dim: int, trials: int, rng: np.random.Generator,
                 tol: float = 1e-9) -> LawRecorder:
     """Randomized checks that projective updates order proper states.
 
@@ -174,8 +174,6 @@ def check_prop2(dim: int, trials: int, rng: np.random.Generator | None = None,
     equals the Sasaki projection of the carrier onto the property. Returns
     the recorder of all these checks.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     rec = LawRecorder(tol)
     for _ in range(trials):
         # (i) fixed point: carrier(rho) inside a

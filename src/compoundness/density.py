@@ -65,18 +65,24 @@ class DensityState:
         return f"DensityState(dim {self.dim})"
 
 
-def carrier(rho: DensityState, tol: float = DEFAULT_TOL) -> Subspace:
+def _normalized(m: np.ndarray) -> DensityState:
+    """The Hermitian part of ``m`` scaled to unit trace."""
+    m = (m + m.conj().T) / 2.0
+    return DensityState(m / float(np.trace(m).real))
+
+
+def carrier(rho: DensityState) -> Subspace:
     """The range of ``rho``: its strongest actual property.
 
-    Spanned by the eigenvectors whose eigenvalues exceed ``tol`` relative
-    to the largest one.
+    Spanned by the eigenvectors whose eigenvalues exceed ``DEFAULT_TOL``
+    relative to the largest one.
     """
     w, v = np.linalg.eigh(rho.matrix)
     top = float(w[-1])
     if top <= 0.0:
-        return Subspace.zero(rho.dim, tol)
-    keep = w > tol * top
-    return Subspace(v[:, keep].copy(), tol)
+        return Subspace.zero(rho.dim)
+    keep = w > DEFAULT_TOL * top
+    return Subspace(v[:, keep].copy())
 
 
 def transition_probability(rho: DensityState, a: Subspace) -> float:
@@ -100,7 +106,4 @@ def lueders(rho: DensityState, a: Subspace) -> DensityState | None:
     if p <= ORTHOGONAL_CUTOFF:
         return None
     proj = a.projector()
-    updated = proj @ rho.matrix @ proj
-    updated = (updated + updated.conj().T) / 2.0
-    updated = updated / float(np.trace(updated).real)
-    return DensityState(updated)
+    return _normalized(proj @ rho.matrix @ proj)

@@ -48,15 +48,7 @@ def is_join_preserving(table: Sequence[int], source: FiniteLattice,
 def is_meet_preserving(table: Sequence[int], source: FiniteLattice,
                        target: FiniteLattice) -> bool:
     """Dual of :func:`is_join_preserving`: top to top, binary meets kept."""
-    n = len(source)
-    if len(table) != n:
-        return False
-    for v in table:
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < len(target):
-            return False
-    if table[source.top] != target.top:
-        return False
-    return _preserves(table, source.meet_table, target.meet_table)
+    return is_join_preserving(table, source.dual, target.dual)
 
 
 def _preserves(table: Sequence[int], op1: np.ndarray, op2: np.ndarray) -> bool:
@@ -70,63 +62,63 @@ def _preserves(table: Sequence[int], op1: np.ndarray, op2: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class JoinMap:
-    """A validated join-preserving map between two finite lattices."""
+@dataclass(frozen=True, eq=False, repr=False)
+class _LatticeMap:
+    """A map between two finite lattices, given by its table of images."""
 
     source: FiniteLattice
     target: FiniteLattice
     table: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not is_join_preserving(self.table, self.source, self.target):
-            raise NotJoinPreserving(f"table {self.table} does not preserve joins")
-
     def __repr__(self) -> str:
-        return f"JoinMap({self.table})"
+        return f"{type(self).__name__}({self.table})"
 
     def __call__(self, x: int) -> int:
         self.source.check_element(x)
         return self.table[x]
 
-    def same_signature(self, other: "JoinMap") -> bool:
+    def same_signature(self, other: "_LatticeMap") -> bool:
         return self.source.same_structure(other.source) and self.target.same_structure(
             other.target
         )
 
 
-@dataclass(frozen=True, eq=False)
-class MeetMap:
+@dataclass(frozen=True, eq=False, repr=False)
+class JoinMap(_LatticeMap):
+    """A validated join-preserving map between two finite lattices."""
+
+    def __post_init__(self) -> None:
+        if not is_join_preserving(self.table, self.source, self.target):
+            raise NotJoinPreserving(f"table {self.table} does not preserve joins")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class MeetMap(_LatticeMap):
     """A validated meet-preserving map; source and target play reversed
     roles relative to the join map it is dual to."""
-
-    source: FiniteLattice
-    target: FiniteLattice
-    table: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not is_meet_preserving(self.table, self.source, self.target):
             raise NotMeetPreserving(f"table {self.table} does not preserve meets")
 
-    def __repr__(self) -> str:
-        return f"MeetMap({self.table})"
 
-    def __call__(self, x: int) -> int:
-        self.source.check_element(x)
-        return self.table[x]
-
-
-def map_leq(f: JoinMap, g: JoinMap) -> bool:
-    """Pointwise order on join maps: f <= g iff f(x) <= g(x) everywhere."""
-    if not f.same_signature(g):
-        raise MixedSignatures("maps have different source or target lattices")
+def map_leq(f: JoinMap | MeetMap, g: JoinMap | MeetMap) -> bool:
+    """Pointwise order on maps of one kind: f <= g iff f(x) <= g(x) everywhere."""
+    if type(f) is not type(g) or not f.same_signature(g):
+        raise MixedSignatures("maps differ in kind or in source or target lattices")
     return all(f.target.leq[f.table[x], g.table[x]] for x in range(len(f.source)))
 
 
-def meetmap_leq(f: MeetMap, g: MeetMap) -> bool:
-    if not (f.source.same_structure(g.source) and f.target.same_structure(g.target)):
-        raise MixedSignatures("maps have different source or target lattices")
-    return all(f.target.leq[f.table[x], g.table[x]] for x in range(len(f.source)))
+def _upper_adjoint(table: Sequence[int], source: FiniteLattice,
+                   target: FiniteLattice) -> tuple[int, ...]:
+    """For each b of ``target``, the join in ``source`` of every a whose
+    image under the join-preserving ``table`` lies below b."""
+    leq, join = target.leq.tolist(), source.join_table.tolist()
+    out = []
+    for b in range(len(target)):
+        causes = [a for a, fa in enumerate(table) if leq[fa][b]]
+        out.append(reduce(lambda x, y: join[x][y], causes, source.bottom))
+    return tuple(out)
 
 
 def galois_dual(f: JoinMap) -> MeetMap:
@@ -135,27 +127,19 @@ def galois_dual(f: JoinMap) -> MeetMap:
     f*(b) is the join of every a with f(a) <= b, i.e. the weakest cause of
     b; the pair satisfies a <= f*(b) iff f(a) <= b.
     """
-    leq, join = f.target.leq.tolist(), f.source.join_table.tolist()
-    table = []
-    for b in range(len(f.target)):
-        causes = [a for a, fa in enumerate(f.table) if leq[fa][b]]
-        table.append(reduce(lambda x, y: join[x][y], causes, f.source.bottom))
-    return MeetMap(source=f.target, target=f.source, table=tuple(table))
+    table = _upper_adjoint(f.table, f.source, f.target)
+    return MeetMap(source=f.target, target=f.source, table=table)
 
 
 def adjoint_of_meetmap(g: MeetMap) -> JoinMap:
     """Recover the join-preserving adjoint of a meet-preserving map.
 
     f(a) is the minimum of every b with a <= g(b); that minimum exists
-    because g preserves meets. Round-trips with :func:`galois_dual`.
+    because g preserves meets. This is :func:`galois_dual` between the
+    order duals, and round-trips with it.
     """
-    l2, l1 = g.source, g.target
-    leq, meet = l1.leq.tolist(), l2.meet_table.tolist()
-    table = []
-    for a in range(len(l1)):
-        candidates = [b for b, gb in enumerate(g.table) if leq[a][gb]]
-        table.append(reduce(lambda x, y: meet[x][y], candidates, l2.top))
-    return JoinMap(source=l1, target=l2, table=tuple(table))
+    table = _upper_adjoint(g.table, g.source.dual, g.target.dual)
+    return JoinMap(source=g.target, target=g.source, table=table)
 
 
 def separation_state(source: FiniteLattice, target: FiniteLattice) -> JoinMap:
@@ -305,11 +289,7 @@ def order_antitone_check(f: JoinMap, g: JoinMap) -> bool:
 
     Always true for valid join maps; exposed so suites can assert it.
     """
-    if not f.same_signature(g):
-        raise MixedSignatures("maps have different source or target lattices")
-    lhs = map_leq(f, g)
-    rhs = meetmap_leq(galois_dual(g), galois_dual(f))
-    return lhs == rhs
+    return map_leq(f, g) == map_leq(galois_dual(g), galois_dual(f))
 
 
 ATOMISTIC = "atomistic"

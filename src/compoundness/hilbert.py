@@ -81,14 +81,12 @@ class Subspace:
 
     def leq(self, other: "Subspace") -> bool:
         """Containment: self is a subspace of other, within tolerance."""
-        _check_same_space(self, other)
-        tol = max(self.tol, other.tol)
+        tol = _shared_tol(self, other)
         p, q = self.projector(), other.projector()
         return bool(np.linalg.norm(q @ p - p) <= tol * max(1.0, self.ambient_dim))
 
     def approx_equal(self, other: "Subspace") -> bool:
-        _check_same_space(self, other)
-        tol = max(self.tol, other.tol)
+        tol = _shared_tol(self, other)
         return bool(
             np.linalg.norm(self.projector() - other.projector())
             <= tol * max(1.0, self.ambient_dim)
@@ -96,19 +94,20 @@ class Subspace:
 
     def perp(self, other: "Subspace") -> bool:
         """Whether the two subspaces are orthogonal."""
-        _check_same_space(self, other)
-        tol = max(self.tol, other.tol)
+        tol = _shared_tol(self, other)
         return bool(
             np.linalg.norm(self.frame.conj().T @ other.frame)
             <= tol * max(1.0, self.ambient_dim)
         )
 
 
-def _check_same_space(a: Subspace, b: Subspace) -> None:
+def _shared_tol(a: Subspace, b: Subspace) -> float:
+    """The larger tolerance of two subspaces of one space; DimensionMismatch otherwise."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(
             f"subspaces live in C^{a.ambient_dim} and C^{b.ambient_dim}"
         )
+    return max(a.tol, b.tol)
 
 
 def span(vectors, tol: float = DEFAULT_TOL) -> Subspace:
@@ -153,15 +152,13 @@ def ortho_s(a: Subspace) -> Subspace:
 
 def join_s(a: Subspace, b: Subspace) -> Subspace:
     """Span of the union."""
-    _check_same_space(a, b)
-    tol = max(a.tol, b.tol)
+    tol = _shared_tol(a, b)
     return span(np.hstack([a.frame, b.frame]), tol)
 
 
 def meet_s(a: Subspace, b: Subspace) -> Subspace:
     """Intersection, computed as the kernel of (I - P_a) + (I - P_b)."""
-    _check_same_space(a, b)
-    tol = max(a.tol, b.tol)
+    tol = _shared_tol(a, b)
     n = a.ambient_dim
     m = 2.0 * np.eye(n) - a.projector() - b.projector()
     w, v = np.linalg.eigh(m)
@@ -172,6 +169,12 @@ def meet_s(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(v[:, keep].copy(), tol)
 
 
+def _sasaki_sides(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
+    """The two sides of :func:`sasaki_s`'s cross-check: (formula, image)."""
+    tol = _shared_tol(a, b)
+    return meet_s(a, join_s(b, ortho_s(a))), span(a.projector() @ b.frame, tol)
+
+
 def sasaki_s(a: Subspace, b: Subspace) -> Subspace:
     """Sasaki projection of ``b`` onto ``a``, cross-checked two ways.
 
@@ -179,10 +182,7 @@ def sasaki_s(a: Subspace, b: Subspace) -> Subspace:
     the projector onto a must agree within tolerance; disagreement raises
     CrossCheckFailed, signalling a tolerance problem.
     """
-    _check_same_space(a, b)
-    tol = max(a.tol, b.tol)
-    by_formula = meet_s(a, join_s(b, ortho_s(a)))
-    by_image = span(a.projector() @ b.frame, tol)
+    by_formula, by_image = _sasaki_sides(a, b)
     if not by_formula.approx_equal(by_image):
         gap = np.linalg.norm(by_formula.projector() - by_image.projector())
         raise CrossCheckFailed(

@@ -8,6 +8,7 @@ underlying JSON is malformed and a path description when the schema is.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,6 @@ from .galois import JoinMap
 from .lattice import FiniteLattice, OrthoLattice, attach_ortho, build_lattice
 from .operators import ANTILINEAR, LINEAR, CompoundOperator, TensorVector, from_tensor, schmidt_tensor
 from .quantale import ProperStateSpace
-
-FORMATS = ("lattice-json", "map-json", "matrix-json", "tv-json")
-
 
 def load_json(path) -> object:
     text = Path(path).read_text(encoding="utf-8")
@@ -42,8 +40,20 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+@contextmanager
+def _building(what: str):
+    """Report a ValueError or TypeError raised while building ``what`` from
+    file data as a ParseError (the library's constructors raise ValueError).
+    Decorates the parsers."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"{what}: {exc}") from None
+
+
 # -- lattices ----------------------------------------------------------------
 
+@_building("lattice")
 def parse_lattice(obj) -> FiniteLattice | OrthoLattice:
     """{"elements": [...], "leq": [[i, j], ...], "ortho": [...] (optional)}"""
     elements = _require(obj, "elements", "lattice")
@@ -99,6 +109,7 @@ def dump_join_map(f: JoinMap) -> dict:
 
 # -- matrices, vectors, operators ---------------------------------------------
 
+@_building("matrix")
 def parse_matrix(obj) -> np.ndarray:
     """{"rows": r, "cols": c, "re": [[...]], "im": [[...]]}"""
     rows = _require(obj, "rows", "matrix")
@@ -154,6 +165,7 @@ def dump_operator(op: CompoundOperator) -> dict:
 
 # -- tensor vectors ------------------------------------------------------------
 
+@_building("tensor vector")
 def parse_tensor_vector(obj) -> TensorVector:
     """{"coefficients": {"re": [...], "im": [...]},
         "left_basis": <matrix>, "right_basis": <matrix>}"""
@@ -180,6 +192,7 @@ def dump_tensor_vector(tv: TensorVector) -> dict:
 
 # -- proper state spaces --------------------------------------------------------
 
+@_building("state space")
 def parse_space(obj) -> ProperStateSpace:
     """{"states": [...], "lattice": <lattice>, "c_map": [li, ...]}"""
     states = _require(obj, "states", "state space")
@@ -204,6 +217,15 @@ def dump_space(space: ProperStateSpace) -> dict:
 
 # -- format conversion -----------------------------------------------------------
 
+_CODECS = {
+    "lattice-json": (parse_lattice, dump_lattice),
+    "map-json": (parse_join_map, dump_join_map),
+    "matrix-json": (parse_operator, dump_operator),
+    "tv-json": (parse_tensor_vector, dump_tensor_vector),
+}
+FORMATS = tuple(_CODECS)
+
+
 def convert(data: object, source_format: str, target_format: str) -> object:
     """Convert between the supported on-disk formats.
 
@@ -217,19 +239,8 @@ def convert(data: object, source_format: str, target_format: str) -> object:
         if fmt not in FORMATS:
             raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if source_format == target_format:
-        parser = {
-            "lattice-json": parse_lattice,
-            "map-json": parse_join_map,
-            "matrix-json": parse_operator,
-            "tv-json": parse_tensor_vector,
-        }[source_format]
-        dumper = {
-            "lattice-json": dump_lattice,
-            "map-json": dump_join_map,
-            "matrix-json": dump_operator,
-            "tv-json": dump_tensor_vector,
-        }[source_format]
-        return dumper(parser(data))
+        parse, dump = _CODECS[source_format]
+        return dump(parse(data))
     if source_format == "tv-json" and target_format == "matrix-json":
         return dump_operator(from_tensor(parse_tensor_vector(data), ANTILINEAR))
     if source_format == "matrix-json" and target_format == "tv-json":

@@ -11,6 +11,7 @@ n-element lattice needs O(n^2) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,6 +56,19 @@ class FiniteLattice:
     def __repr__(self) -> str:
         return f"FiniteLattice({list(self.elements)!r})"
 
+    @cached_property
+    def dual(self) -> "FiniteLattice":
+        """The order dual: the same elements under the reversed order, so
+        meets and joins swap roles, and so do the bottom and the top."""
+        return FiniteLattice(
+            elements=self.elements,
+            leq=self.leq.T,
+            meet_table=self.join_table,
+            join_table=self.meet_table,
+            bottom=self.top,
+            top=self.bottom,
+        )
+
     def label(self, x: int) -> str:
         self.check_element(x)
         return self.elements[x]
@@ -78,9 +92,7 @@ class FiniteLattice:
         return bool(self.leq[x, y])
 
     def meet2(self, x: int, y: int) -> int:
-        self.check_element(x)
-        self.check_element(y)
-        return int(self.meet_table[x, y])
+        return self.dual.join2(x, y)
 
     def join2(self, x: int, y: int) -> int:
         self.check_element(x)
@@ -89,11 +101,7 @@ class FiniteLattice:
 
     def meet(self, xs: Iterable[int]) -> int:
         """Greatest lower bound of ``xs``; the empty meet is the top."""
-        acc = self.top
-        for x in xs:
-            self.check_element(x)
-            acc = int(self.meet_table[acc, x])
-        return acc
+        return self.dual.join(xs)
 
     def join(self, xs: Iterable[int]) -> int:
         """Least upper bound of ``xs``; the empty join is the bottom."""

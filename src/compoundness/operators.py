@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .density import DensityState
+from .density import DensityState, _normalized
 from .errors import (
     BadBasis,
     BadShape,
@@ -165,14 +165,8 @@ def from_tensor(tv: TensorVector, linearity: str) -> CompoundOperator:
     The linear flag uses the dual-space pairing <psi_i|->; the anti-linear
     flag uses <-|psi_i>, so the operator acts on conjugated input.
     """
-    c = tv.coefficients
-    if linearity == LINEAR:
-        matrix = (tv.right_basis * c) @ tv.left_basis.conj().T
-    elif linearity == ANTILINEAR:
-        matrix = (tv.right_basis * c) @ tv.left_basis.T
-    else:
-        raise ValueError(f"linearity must be {LINEAR!r} or {ANTILINEAR!r}")
-    return CompoundOperator(matrix, linearity)
+    left = tv.left_basis.conj() if linearity == LINEAR else tv.left_basis
+    return CompoundOperator((tv.right_basis * tv.coefficients) @ left.T, linearity)
 
 
 def to_tensor(op: CompoundOperator, left_basis, right_basis) -> TensorVector:
@@ -238,12 +232,8 @@ def quadruple(op: CompoundOperator) -> Quadruple:
     if op.is_zero():
         raise ZeroOperator("the zero operator has no associated proper states")
     adj = op.adjoint()
-    m1 = adj.compose(op).matrix
-    m2 = op.compose(adj).matrix
-    m1 = (m1 + m1.conj().T) / 2.0
-    m2 = (m2 + m2.conj().T) / 2.0
-    rho1 = DensityState(m1 / float(np.trace(m1).real))
-    rho2 = DensityState(m2 / float(np.trace(m2).real))
+    rho1 = _normalized(adj.compose(op).matrix)
+    rho2 = _normalized(op.compose(adj).matrix)
     return Quadruple(op, rho1, rho2, adj)
 
 
@@ -270,9 +260,8 @@ class AtomicityReport:
         return self.zero_operator or self.equal_on_samples or not self.ordered_on_samples
 
 
-def atomicity_probe(f_op: CompoundOperator, g_op: CompoundOperator,
-                    ray_samples: int, rng: np.random.Generator | None = None,
-                    tol: float = DEFAULT_TOL) -> AtomicityReport:
+def atomicity_probe(f_op: CompoundOperator, g_op: CompoundOperator, ray_samples: int,
+                    rng: np.random.Generator | None = None) -> AtomicityReport:
     """Sample rays and compare the induced maps of two operators.
 
     Checks, ray by ray, whether span(F v) is contained in span(G v) and
@@ -307,7 +296,7 @@ def atomicity_probe(f_op: CompoundOperator, g_op: CompoundOperator,
         else:
             ghat = gv / np.linalg.norm(gv)
             residual = np.linalg.norm(fv - ghat * (ghat.conj() @ fv))
-            parallel = residual <= tol * np.linalg.norm(fv)
+            parallel = residual <= DEFAULT_TOL * np.linalg.norm(fv)
             ray_equal = parallel
             ray_ordered = parallel
         if not ray_equal and witness is None:

@@ -79,9 +79,6 @@ class ProperStateSpace:
         """The induced closure: every state whose property is below C(T)."""
         return self._closure_by_property[self._strongest_by_mask[mask]]
 
-    def all_subsets(self) -> range:
-        return range(1 << len(self.states))
-
 
 @dataclass(frozen=True, eq=False)
 class TransitionMap:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import DensityState
-from .hilbert import DEFAULT_TOL, Subspace
+from .density import DensityState, _normalized
+from .hilbert import Subspace
 from .operators import LINEAR, CompoundOperator, TensorVector
 
 
@@ -31,13 +31,13 @@ def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_subspace(rng: np.random.Generator, dim: int,
-                    rank: int | None = None, tol: float = DEFAULT_TOL) -> Subspace:
+                    rank: int | None = None) -> Subspace:
     """Uniform random subspace; rank drawn from 0..dim when not given."""
     if rank is None:
         rank = int(rng.integers(0, dim + 1))
     if rank == 0:
-        return Subspace.zero(dim, tol)
-    return Subspace(random_unitary(rng, dim)[:, :rank].copy(), tol)
+        return Subspace.zero(dim)
+    return Subspace(random_unitary(rng, dim)[:, :rank].copy())
 
 
 def random_subspace_in(rng: np.random.Generator, ambient: Subspace,
@@ -51,16 +51,13 @@ def random_subspace_in(rng: np.random.Generator, ambient: Subspace,
     return Subspace(ambient.frame @ mix, ambient.tol)
 
 
-def random_nested_pair(rng: np.random.Generator, dim: int,
-                       tol: float = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
+def random_nested_pair(rng: np.random.Generator, dim: int) -> tuple[Subspace, Subspace]:
     """A pair (inner, outer) with inner contained in outer, by extension."""
     frame = random_unitary(rng, dim)
     inner_rank = int(rng.integers(0, dim + 1))
     outer_rank = int(rng.integers(inner_rank, dim + 1))
-    inner = (Subspace(frame[:, :inner_rank].copy(), tol)
-             if inner_rank else Subspace.zero(dim, tol))
-    outer = (Subspace(frame[:, :outer_rank].copy(), tol)
-             if outer_rank else Subspace.zero(dim, tol))
+    inner = Subspace(frame[:, :inner_rank].copy()) if inner_rank else Subspace.zero(dim)
+    outer = Subspace(frame[:, :outer_rank].copy()) if outer_rank else Subspace.zero(dim)
     return inner, outer
 
 
@@ -70,9 +67,7 @@ def random_density(rng: np.random.Generator, dim: int,
     if rank is None:
         rank = dim
     g = complex_gaussian(rng, dim, rank)
-    m = g @ g.conj().T
-    m = (m + m.conj().T) / 2.0
-    return DensityState(m / float(np.trace(m).real))
+    return _normalized(g @ g.conj().T)
 
 
 def random_density_in(rng: np.random.Generator, support: Subspace,
@@ -84,9 +79,7 @@ def random_density_in(rng: np.random.Generator, support: Subspace,
     if rank is None:
         rank = k
     g = complex_gaussian(rng, k, rank)
-    m = support.frame @ (g @ g.conj().T) @ support.frame.conj().T
-    m = (m + m.conj().T) / 2.0
-    return DensityState(m / float(np.trace(m).real))
+    return _normalized(support.frame @ (g @ g.conj().T) @ support.frame.conj().T)
 
 
 def random_operator(rng: np.random.Generator, dim_out: int, dim_in: int,

@@ -23,7 +23,7 @@ from .galois import (
     pointwise_join,
     order_antitone_check,
 )
-from .hilbert import join_s, meet_s, ortho_s, span
+from .hilbert import _sasaki_sides, join_s, meet_s, ortho_s, span
 from .lattice import FiniteLattice
 from .operators import (
     ANTILINEAR,
@@ -135,8 +135,7 @@ def _suite_sasaki(rng: np.random.Generator, trials: int, tol: float) -> LawRecor
         dim = int(rng.integers(2, 5))
         a = random_subspace(rng, dim)
         b = random_subspace(rng, dim)
-        by_formula = meet_s(a, join_s(b, ortho_s(a)))
-        by_image = span(a.projector() @ b.frame, max(a.tol, b.tol))
+        by_formula, by_image = _sasaki_sides(a, b)
         rec.check(
             "sasaki-cross-check",
             np.linalg.norm(by_formula.projector() - by_image.projector()),

@@ -47,6 +47,27 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+_CHAIN2 = {"elements": ["0", "1"], "leq": [[0, 1]]}
+_MATRIX = {"rows": 2, "cols": 1, "re": [[1.0], [0.0]], "im": [[0.0], [0.0]]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["lattice", "check"], {"elements": ["a", "a"], "leq": [[0, 1]]}),
+    (["lattice", "check"], dict(_CHAIN2, ortho=[1])),
+    (["quantale", "check"], {"states": ["p", "p"], "lattice": _CHAIN2, "c_map": [1, 1]}),
+    (["compound", "quadruple"], dict(_MATRIX, rows="x")),
+    (["compound", "quadruple"], dict(_MATRIX, rows=None)),
+    (["compound", "quadruple"], dict(_MATRIX, re=[[1.0, 0.0], [0.0]])),
+], ids=["duplicate-elements", "short-ortho", "duplicate-states", "rows-string",
+        "rows-null", "ragged-re"])
+def test_malformed_file_is_a_parse_error(files, capsys, command, payload):
+    path = files("bad.json", payload)
+    assert main([*command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["lattice", "check", "/definitely/not/here.json"]) == 2
 

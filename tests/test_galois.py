@@ -27,8 +27,8 @@ from compoundness.galois import (
     enumerate_Q,
     galois_dual,
     is_join_preserving,
+    is_meet_preserving,
     map_leq,
-    meetmap_leq,
     order_antitone_check,
     pointwise_join,
     separation_state,
@@ -66,6 +66,19 @@ def test_explicit_join_violation_detected():
 def test_meetmap_validation():
     with pytest.raises(NotMeetPreserving):
         MeetMap(source=CHAIN2, target=CHAIN2, table=(0, 0))  # top not preserved
+
+
+@pytest.mark.parametrize("l1, l2", [(CHAIN2, B2), (B2, CHAIN3), (MO2, B2)])
+def test_meet_preservation_matches_brute_force_on_every_table(l1, l2):
+    expected = brute_meet_maps(l1, l2)
+    for table in itertools.product(range(len(l2)), repeat=len(l1)):
+        assert is_meet_preserving(table, l1, l2) == (table in expected)
+
+
+def test_reprs_name_the_map_kind_and_table():
+    f = separation_state(CHAIN2, CHAIN3)
+    assert repr(f) == "JoinMap((0, 2))"
+    assert repr(galois_dual(f)) == "MeetMap((0, 0, 1))"
 
 
 def test_dual_of_identity_is_identity():
@@ -188,6 +201,12 @@ def test_mixed_signatures_rejected():
         pointwise_join([identity_map(B2), identity_map(MO2)])
     with pytest.raises(MixedSignatures):
         map_leq(identity_map(B2), identity_map(CHAIN3))
+
+
+def test_map_leq_rejects_maps_of_different_kinds():
+    f = identity_map(B2)
+    with pytest.raises(MixedSignatures):
+        map_leq(f, galois_dual(f))
 
 
 # -- separation / absurd ---------------------------------------------------------
@@ -325,7 +344,7 @@ def test_antitone_law_exhaustive_on_small_pairs():
         duals = [galois_dual(f) for f in q.maps]
         for i, j in itertools.product(range(len(q)), repeat=2):
             forward = map_leq(q.maps[i], q.maps[j])
-            backward = meetmap_leq(duals[j], duals[i])
+            backward = map_leq(duals[j], duals[i])
             assert forward == backward
             assert order_antitone_check(q.maps[i], q.maps[j])
 

@@ -138,6 +138,21 @@ def test_meet_join_are_bounds_for_every_subset(lat):
             assert lat.join(xs) == expected_join
 
 
+@pytest.mark.parametrize(
+    "lat",
+    [chain(n) for n in range(2, 8)] + [boolean(n).base for n in (2, 3)]
+    + [mo(n).base for n in (2, 3)],
+)
+def test_dual_is_the_lattice_of_the_reversed_order(lat):
+    dual = lat.dual
+    rebuilt = lattice_from_order(lat.elements, lat.leq.T)
+    assert dual.elements == lat.elements
+    assert np.array_equal(dual.leq, lat.leq.T)
+    assert np.array_equal(dual.meet_table, rebuilt.meet_table)
+    assert np.array_equal(dual.join_table, rebuilt.join_table)
+    assert (dual.bottom, dual.top) == (lat.top, lat.bottom)
+
+
 def test_join_irreducibles_generate_by_joins():
     for lat in (chain(3), boolean(3).base, mo(2).base):
         jis = lat.join_irreducibles()

@@ -186,6 +186,12 @@ def test_uniform_two_term_coefficients_give_scaled_identity():
     assert np.allclose(op.matrix, IDENTITY2 / np.sqrt(2))
 
 
+def test_from_tensor_rejects_unknown_linearity():
+    tv = TensorVector(np.array([1.0]), E1[:, None], E1[:, None])
+    with pytest.raises(ValueError, match="linearity must be"):
+        from_tensor(tv, "sesquilinear")
+
+
 def test_round_trip_in_fixed_bases():
     rng = np.random.default_rng(13)
     for flag in (LINEAR, ANTILINEAR):
