@@ -15,15 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (
-    DensityState,
-    carrier,
-    lueders,
-    transition_probability,
-)
+from .density import DensityState, _update, carrier, lueders
 from .errors import BadShape, DimensionMismatch, ZeroOperator, ZeroVector
 from .hilbert import Subspace, sasaki_s
-from .operators import CompoundOperator, TensorVector, induced_map, quadruple
+from .operators import CompoundOperator, TensorVector, induced_map
 from .reporting import LawRecorder
 from .sampling import (
     random_density,
@@ -69,11 +64,11 @@ class CascadeTrace:
 def _step(side: int, kind: str, prop: Subspace, pre: DensityState,
           carrier_pre: Subspace) -> CascadeStep:
     """Update ``pre`` projectively onto ``prop``: no post-state on an orthogonal outcome."""
-    post = lueders(pre, prop)
+    p, post = _update(pre, prop)
     if post is None:
         probability, carrier_post = 0.0, Subspace.zero(prop.ambient_dim)
     else:
-        probability = transition_probability(pre, prop) if kind == MEASURE else 1.0
+        probability = p if kind == MEASURE else 1.0
         carrier_post = carrier(post)
     return CascadeStep(side, kind, prop, pre, post, probability, carrier_pre, carrier_post)
 
@@ -95,7 +90,7 @@ def run_cascade(op: CompoundOperator, left_atom: Subspace, right_atom: Subspace,
         raise DimensionMismatch(
             f"atoms must live in C^{op.dim_in} and C^{op.dim_out}"
         )
-    quad = quadruple(op)
+    quad = op.plan
     left, right = (1, quad.rho1, left_atom), (2, quad.rho2, right_atom)
     if order == LEFT_FIRST:
         (side1, rho1, atom1), (side2, rho2, atom2), bridge = left, right, quad.f12
@@ -187,8 +182,8 @@ def check_prop2(dim: int, trials: int, rng: np.random.Generator,
         # carrier bridge: carrier of the update is the Sasaki projection
         rho = random_density(rng, dim, rank=int(rng.integers(1, dim + 1)))
         a = random_subspace(rng, dim, rank=int(rng.integers(1, dim + 1)))
-        if transition_probability(rho, a) > 0.05:
-            updated = lueders(rho, a)
+        p, updated = _update(rho, a)
+        if p > 0.05:
             lhs = carrier(updated)
             rhs = sasaki_s(a, carrier(rho))
             gap = np.linalg.norm(lhs.projector() - rhs.projector())
@@ -203,8 +198,8 @@ def check_prop2(dim: int, trials: int, rng: np.random.Generator,
         a_cols = np.sort(rng.permutation(dim)[:na])
         a = Subspace(basis[:, a_cols])
         rho = random_density_in(rng, b)
-        if transition_probability(rho, a) > 0.05:
-            updated = lueders(rho, a)
+        p, updated = _update(rho, a)
+        if p > 0.05:
             moved = carrier(updated)
             gap = np.linalg.norm(
                 (np.eye(dim) - b.projector()) @ moved.projector()
@@ -216,8 +211,8 @@ def check_prop2(dim: int, trials: int, rng: np.random.Generator,
         a = random_subspace(rng, dim, rank=na)
         a_inner = random_subspace_in(rng, a, rank=int(rng.integers(1, na + 1)))
         rho = random_density(rng, dim, rank=int(rng.integers(1, dim + 1)))
-        if transition_probability(rho, a_inner) > 0.05:
-            once = lueders(rho, a_inner)
+        p, once = _update(rho, a_inner)
+        if p > 0.05:
             twice = lueders(lueders(rho, a), a_inner)
             gap = (np.linalg.norm(twice.matrix - once.matrix)
                    if once is not None and twice is not None else np.inf)

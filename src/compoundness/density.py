@@ -9,11 +9,12 @@ disturbance transition onto a measured or induced property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BadShape, DimensionMismatch, NotADensity, ZeroVector
-from .hilbert import DEFAULT_TOL, Subspace, _as_complex_matrix
+from .hilbert import DEFAULT_TOL, Subspace, _owned_matrix
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -27,12 +28,16 @@ ORTHOGONAL_CUTOFF = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DensityState:
-    """A validated density operator: Hermitian, PSD, unit trace."""
+    """A validated density operator: Hermitian, PSD, unit trace.
+
+    Holds a private, read-only copy of the matrix and keeps the
+    eigendecomposition that validation computes, for :func:`carrier`.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _as_complex_matrix(self.matrix)
+        m = _owned_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         if m.shape[0] != m.shape[1]:
             raise BadShape(f"density operator must be square, got {m.shape}")
@@ -41,8 +46,10 @@ class DensityState:
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > TRACE_TOL:
             raise NotADensity(f"density operator has trace {trace}, expected 1")
-        if float(np.linalg.eigvalsh(m)[0]) < EIGENVALUE_FLOOR:
+        w, v = np.linalg.eigh(m)
+        if float(w[0]) < EIGENVALUE_FLOOR:
             raise NotADensity("density operator has a significantly negative eigenvalue")
+        object.__setattr__(self, "_eigh", (w, v))
 
     @classmethod
     def pure(cls, vector) -> "DensityState":
@@ -64,6 +71,14 @@ class DensityState:
     def __repr__(self) -> str:
         return f"DensityState(dim {self.dim})"
 
+    @cached_property
+    def _carrier(self) -> Subspace:
+        w, v = self._eigh
+        top = float(w[-1])
+        if top <= 0.0:
+            return Subspace.zero(self.dim)
+        return Subspace(v[:, w > DEFAULT_TOL * top])
+
 
 def _normalized(m: np.ndarray) -> DensityState:
     """The Hermitian part of ``m`` scaled to unit trace."""
@@ -75,14 +90,10 @@ def carrier(rho: DensityState) -> Subspace:
     """The range of ``rho``: its strongest actual property.
 
     Spanned by the eigenvectors whose eigenvalues exceed ``DEFAULT_TOL``
-    relative to the largest one.
+    relative to the largest one. Computed once per state, from the
+    eigendecomposition its validation made.
     """
-    w, v = np.linalg.eigh(rho.matrix)
-    top = float(w[-1])
-    if top <= 0.0:
-        return Subspace.zero(rho.dim)
-    keep = w > DEFAULT_TOL * top
-    return Subspace(v[:, keep].copy())
+    return rho._carrier
 
 
 def transition_probability(rho: DensityState, a: Subspace) -> float:
@@ -95,6 +106,15 @@ def transition_probability(rho: DensityState, a: Subspace) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _update(rho: DensityState, a: Subspace) -> tuple[float, DensityState | None]:
+    """(Tr(P_a rho), the update of ``rho`` onto ``a`` as :func:`lueders` gives it)."""
+    p = transition_probability(rho, a)
+    if p <= ORTHOGONAL_CUTOFF:
+        return p, None
+    proj = a.projector()
+    return p, _normalized(proj @ rho.matrix @ proj)
+
+
 def lueders(rho: DensityState, a: Subspace) -> DensityState | None:
     """Projective update of ``rho`` onto ``a``.
 
@@ -102,8 +122,4 @@ def lueders(rho: DensityState, a: Subspace) -> DensityState | None:
     Tr(P_a rho) <= ORTHOGONAL_CUTOFF; otherwise P_a rho P_a renormalized.
     The carrier of the result is always contained in ``a``.
     """
-    p = transition_probability(rho, a)
-    if p <= ORTHOGONAL_CUTOFF:
-        return None
-    proj = a.projector()
-    return _normalized(proj @ rho.matrix @ proj)
+    return _update(rho, a)[1]

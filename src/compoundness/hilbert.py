@@ -30,8 +30,15 @@ def _as_complex_matrix(a) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise BadShape(f"expected a matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise NonFinite("matrix contains NaN or infinite entries")
+    return arr
+
+
+def _owned_matrix(a) -> np.ndarray:
+    """A private, read-only copy of ``a``, checked as by ``_as_complex_matrix``."""
+    arr = _as_complex_matrix(np.array(a, dtype=complex, order="C"))
+    arr.setflags(write=False)
     return arr
 
 
@@ -41,21 +48,21 @@ class Subspace:
 
     The zero subspace has a frame with zero columns, which keeps the
     orthonormality invariant meaningful. Equality and containment are
-    decided on projectors, within ``tol`` in Frobenius norm.
+    decided on projectors, within ``tol`` in Frobenius norm. The frame is
+    a private, read-only copy of the array passed in.
     """
 
     frame: np.ndarray
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        frame = _as_complex_matrix(self.frame)
+        frame = _owned_matrix(self.frame)
         object.__setattr__(self, "frame", frame)
         if self.tol < 0:
             raise ValueError("tolerance must be nonnegative")
         gram = frame.conj().T @ frame
         if gram.shape[0] and np.abs(gram - np.eye(gram.shape[0])).max() > max(self.tol, 1e-12):
             raise BadBasis("frame columns are not orthonormal")
-        frame.setflags(write=False)
 
     @classmethod
     def zero(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "Subspace":
@@ -123,7 +130,7 @@ def span(vectors, tol: float = DEFAULT_TOL) -> Subspace:
     if s.size == 0 or s[0] <= 0.0:
         return Subspace.zero(arr.shape[0], tol)
     rank = int(np.sum(s > tol * s[0]))
-    return Subspace(u[:, :rank].copy(), tol)
+    return Subspace(u[:, :rank], tol)
 
 
 def ray(vector, tol: float = DEFAULT_TOL) -> Subspace:
@@ -147,7 +154,7 @@ def ortho_s(a: Subspace) -> Subspace:
     if r == n:
         return Subspace.zero(n, a.tol)
     u, _, _ = np.linalg.svd(a.frame, full_matrices=True)
-    return Subspace(u[:, r:].copy(), a.tol)
+    return Subspace(u[:, r:], a.tol)
 
 
 def join_s(a: Subspace, b: Subspace) -> Subspace:
@@ -166,7 +173,7 @@ def meet_s(a: Subspace, b: Subspace) -> Subspace:
     keep = w < cutoff
     if not keep.any():
         return Subspace.zero(n, tol)
-    return Subspace(v[:, keep].copy(), tol)
+    return Subspace(v[:, keep], tol)
 
 
 def _sasaki_sides(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:

@@ -116,7 +116,9 @@ def parse_matrix(obj) -> np.ndarray:
     cols = _require(obj, "cols", "matrix")
     re = np.asarray(_require(obj, "re", "matrix"), dtype=float)
     im = np.asarray(_require(obj, "im", "matrix"), dtype=float)
-    expected = (int(rows), int(cols))
+    if not all(type(n) is int for n in (rows, cols)):  # bool is an int subclass
+        raise ParseError("matrix: 'rows' and 'cols' must be integers")
+    expected = (rows, cols)
     shaped = []
     for name, part in (("re", re), ("im", im)):
         if part.size == 0:

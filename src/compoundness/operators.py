@@ -17,6 +17,7 @@ differ from the linear action with the same matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     NonFinite,
     ZeroOperator,
 )
-from .hilbert import DEFAULT_TOL, Subspace, _as_complex_matrix, span
+from .hilbert import DEFAULT_TOL, Subspace, _as_complex_matrix, _owned_matrix, span
 
 LINEAR = "linear"
 ANTILINEAR = "antilinear"
@@ -38,16 +39,24 @@ ANTILINEAR = "antilinear"
 
 @dataclass(frozen=True, eq=False)
 class CompoundOperator:
-    """A linear or anti-linear map between two finite-dimensional spaces."""
+    """A linear or anti-linear map between two finite-dimensional spaces.
+
+    Holds a private, read-only copy of the matrix, so :attr:`plan` can be kept.
+    """
 
     matrix: np.ndarray
     linearity: str = LINEAR
 
     def __post_init__(self) -> None:
-        m = _as_complex_matrix(self.matrix)
+        m = _owned_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         if self.linearity not in (LINEAR, ANTILINEAR):
             raise ValueError(f"linearity must be {LINEAR!r} or {ANTILINEAR!r}")
+
+    @cached_property
+    def plan(self) -> "Quadruple":
+        """``quadruple(self)``, computed once per operator."""
+        return quadruple(self)
 
     @property
     def dim_in(self) -> int:
@@ -94,8 +103,8 @@ class CompoundOperator:
         matrix the plain transpose.
         """
         if self.linearity == LINEAR:
-            return CompoundOperator(self.matrix.conj().T.copy(), LINEAR)
-        return CompoundOperator(self.matrix.T.copy(), ANTILINEAR)
+            return CompoundOperator(self.matrix.conj().T, LINEAR)
+        return CompoundOperator(self.matrix.T, ANTILINEAR)
 
 
 def induced_map(op: CompoundOperator) -> Callable[[Subspace], Subspace]:
@@ -133,7 +142,7 @@ class TensorVector:
                 f"{c.shape[0]} coefficients need bases with that many columns, "
                 f"got {left.shape[1]} and {right.shape[1]}"
             )
-        if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
+        if not np.isfinite(c).all():
             raise NonFinite("coefficients contain NaN or infinite entries")
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "left_basis", left)

@@ -37,7 +37,7 @@ def random_subspace(rng: np.random.Generator, dim: int,
         rank = int(rng.integers(0, dim + 1))
     if rank == 0:
         return Subspace.zero(dim)
-    return Subspace(random_unitary(rng, dim)[:, :rank].copy())
+    return Subspace(random_unitary(rng, dim)[:, :rank])
 
 
 def random_subspace_in(rng: np.random.Generator, ambient: Subspace,
@@ -56,8 +56,8 @@ def random_nested_pair(rng: np.random.Generator, dim: int) -> tuple[Subspace, Su
     frame = random_unitary(rng, dim)
     inner_rank = int(rng.integers(0, dim + 1))
     outer_rank = int(rng.integers(inner_rank, dim + 1))
-    inner = Subspace(frame[:, :inner_rank].copy()) if inner_rank else Subspace.zero(dim)
-    outer = Subspace(frame[:, :outer_rank].copy()) if outer_rank else Subspace.zero(dim)
+    inner = Subspace(frame[:, :inner_rank]) if inner_rank else Subspace.zero(dim)
+    outer = Subspace(frame[:, :outer_rank]) if outer_rank else Subspace.zero(dim)
     return inner, outer
 
 

@@ -200,6 +200,61 @@ def test_joint_probability_is_the_product_of_step_probabilities():
     assert trace.joint_probability == pytest.approx(product, abs=1e-15)
 
 
+# -- values computed once per object ------------------------------------------------
+
+
+def test_density_state_keeps_a_read_only_copy_of_its_matrix():
+    m = np.diag([0.25, 0.75]).astype(complex)
+    rho = DensityState(m)
+    m[0, 0] = 5
+    assert np.array_equal(rho.matrix, np.diag([0.25, 0.75]))
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0
+    assert carrier(rho) is carrier(rho)
+
+
+def _all_pairs(make_op, basis1, basis2):
+    """Every outcome pair left-first, then the first pair right-first."""
+    d1, d2 = basis1.shape[1], basis2.shape[1]
+    runs = [(i, j, LEFT_FIRST) for i in range(d1) for j in range(d2)] + [(0, 0, RIGHT_FIRST)]
+    return [run_cascade(make_op(), ray(basis1[:, i]), ray(basis2[:, j]), order=order)
+            for i, j, order in runs]
+
+
+def test_cascades_of_one_operator_build_its_quadruple_once(monkeypatch):
+    import compoundness.operators as operators
+
+    calls = []
+    original = operators.quadruple
+    monkeypatch.setattr(operators, "quadruple", lambda op: calls.append(op) or original(op))
+    rng = np.random.default_rng(30)
+    op = from_tensor(random_tensor_vector(rng, 3, 4, 3), ANTILINEAR)
+    traces = _all_pairs(lambda: op, random_unitary(rng, 3), random_unitary(rng, 4))
+    assert len(traces) == 3 * 4 + 1
+    assert calls == [op]
+
+
+def test_reused_operator_gives_the_traces_of_fresh_ones():
+    rng = np.random.default_rng(31)
+    for d1, d2, terms in ((2, 3, 1), (3, 3, 2), (4, 2, 2)):
+        op = from_tensor(random_tensor_vector(rng, d1, d2, terms), ANTILINEAR)
+        basis1, basis2 = random_unitary(rng, d1), random_unitary(rng, d2)
+        reused = _all_pairs(lambda: op, basis1, basis2)
+        fresh = _all_pairs(lambda: CompoundOperator(op.matrix.copy(), op.linearity),
+                           basis1, basis2)
+        for a, b in zip(reused, fresh):
+            assert a.joint_probability == b.joint_probability
+            assert len(a.steps) == len(b.steps)
+            for x, y in zip(a.steps, b.steps):
+                assert x.probability == y.probability
+                for sub in ("measured_property", "carrier_pre", "carrier_post"):
+                    assert np.array_equal(getattr(x, sub).frame, getattr(y, sub).frame)
+                assert np.array_equal(x.pre_state.matrix, y.pre_state.matrix)
+                assert (x.post_state is None) == (y.post_state is None)
+                if x.post_state is not None:
+                    assert np.array_equal(x.post_state.matrix, y.post_state.matrix)
+
+
 # -- born oracle -------------------------------------------------------------------
 
 

@@ -58,8 +58,11 @@ _MATRIX = {"rows": 2, "cols": 1, "re": [[1.0], [0.0]], "im": [[0.0], [0.0]]}
     (["compound", "quadruple"], dict(_MATRIX, rows="x")),
     (["compound", "quadruple"], dict(_MATRIX, rows=None)),
     (["compound", "quadruple"], dict(_MATRIX, re=[[1.0, 0.0], [0.0]])),
+    (["compound", "quadruple"], dict(_MATRIX, rows=2.9, cols=True)),
+    (["compound", "quadruple"], dict(_MATRIX, rows=2.0)),
+    (["compound", "quadruple"], dict(_MATRIX, cols=True)),
 ], ids=["duplicate-elements", "short-ortho", "duplicate-states", "rows-string",
-        "rows-null", "ragged-re"])
+        "rows-null", "ragged-re", "rows-float-cols-bool", "rows-integral-float", "cols-bool"])
 def test_malformed_file_is_a_parse_error(files, capsys, command, payload):
     path = files("bad.json", payload)
     assert main([*command, path]) == 2

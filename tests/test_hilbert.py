@@ -53,6 +53,16 @@ def test_span_rejects_bad_inputs():
         span(np.array([[np.nan], [0.0]]))
 
 
+def test_subspace_keeps_a_read_only_copy_of_its_frame():
+    frame = np.eye(2, dtype=complex)[:, :1].copy()
+    sub = Subspace(frame)
+    assert frame.flags.writeable
+    frame[:, 0] = E2
+    assert np.array_equal(sub.frame, E1[:, None])
+    with pytest.raises(ValueError):
+        sub.frame[0, 0] = 0.0
+
+
 def test_meet_of_orthogonal_rays_is_zero():
     assert meet_s(ray(E1), ray(E2)).dim == 0
 

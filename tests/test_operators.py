@@ -9,6 +9,7 @@ from compoundness.errors import (
     BadBasis,
     BadShape,
     MixedSignatures,
+    NonFinite,
     ZeroOperator,
 )
 from compoundness.hilbert import Subspace, join_s, ray, span
@@ -301,6 +302,38 @@ def test_quadruple_density_validity_both_flags():
             assert np.linalg.norm(m - m.conj().T) <= 1e-12
             assert abs(np.trace(m).real - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(m)[0] >= -1e-10
+
+
+def test_plan_is_the_quadruple_computed_once():
+    op = random_operator(np.random.default_rng(20), 3, 2, ANTILINEAR)
+    plan = op.plan
+    assert op.plan is plan
+    assert plan.f12 is op
+    fresh = quadruple(op)
+    for cached, direct in zip(plan[1:], fresh[1:]):
+        assert np.array_equal(cached.matrix, direct.matrix)
+
+
+# -- read-only values -------------------------------------------------------------
+
+
+def test_operator_keeps_a_read_only_copy_of_its_matrix():
+    m = IDENTITY2.copy()
+    op = CompoundOperator(m)
+    m[0, 0] = 5
+    assert np.array_equal(op.matrix, IDENTITY2)
+    assert m.flags.writeable
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 5
+
+
+@pytest.mark.parametrize("bad", [complex(x, 0.0) for x in (np.nan, np.inf, -np.inf)]
+                         + [complex(0.0, x) for x in (np.nan, np.inf, -np.inf)])
+def test_non_finite_entry_in_either_part_is_rejected(bad):
+    m = IDENTITY2.copy()
+    m[1, 0] = bad
+    with pytest.raises(NonFinite):
+        CompoundOperator(m)
 
 
 # -- atomicity probe ----------------------------------------------------------------
