@@ -17,7 +17,7 @@ import numpy as np
 
 from .density import DensityState, _update, carrier, lueders
 from .errors import BadShape, DimensionMismatch, ZeroOperator, ZeroVector
-from .hilbert import Subspace, sasaki_s
+from .hilbert import DEFAULT_TOL, Subspace, sasaki_s
 from .operators import CompoundOperator, TensorVector, induced_map
 from .reporting import LawRecorder
 from .sampling import (
@@ -159,7 +159,7 @@ def chain_order_check(trace: CascadeTrace) -> bool:
 
 
 def check_prop2(dim: int, trials: int, rng: np.random.Generator,
-                tol: float = 1e-9) -> LawRecorder:
+                tol: float = DEFAULT_TOL) -> LawRecorder:
     """Randomized checks that projective updates order proper states.
 
     Per trial: (i) states supported inside the updated property are fixed

@@ -9,6 +9,7 @@ was found, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -20,7 +21,7 @@ from .errors import CompoundnessError, ParseError, UnknownSuite
 from .galois import classify_map, enumerate_Q, galois_dual
 from .hilbert import DEFAULT_TOL, join_s, meet_s, ortho_s, sasaki_s, span
 from .lattice import OrthoLattice
-from .operators import atomicity_probe, quadruple, schmidt_tensor
+from .operators import ANTILINEAR, atomicity_probe, from_tensor, quadruple, schmidt_tensor
 from .quantale import check_quantale_laws, enumerate_members, epimorphism_check
 from .suites import SUITE_NAMES, run_suite
 
@@ -58,7 +59,7 @@ def _cmd_lattice_check(args) -> int:
 def _cmd_lattice_sasaki(args) -> int:
     lat = jsonio.parse_lattice(jsonio.load_json(args.file))
     if not isinstance(lat, OrthoLattice):
-        print("lattice file has no orthocomplement", file=sys.stderr)
+        print("error: lattice file has no orthocomplement", file=sys.stderr)
         return USAGE_ERROR
     a = lat.base.index(args.a)
     b = lat.base.index(args.b)
@@ -79,13 +80,8 @@ def _cmd_galois_dual(args) -> int:
 
 
 def _cmd_galois_enumerate(args) -> int:
-    l1 = jsonio.parse_lattice(jsonio.load_json(args.source))
-    l2 = jsonio.parse_lattice(jsonio.load_json(args.target))
-    if isinstance(l1, OrthoLattice):
-        l1 = l1.base
-    if isinstance(l2, OrthoLattice):
-        l2 = l2.base
-    q = enumerate_Q(l1, l2)
+    q = enumerate_Q(jsonio.parse_base_lattice(jsonio.load_json(args.source)),
+                    jsonio.parse_base_lattice(jsonio.load_json(args.target)))
     payload = {"count": len(q), "tables": [list(f.table) for f in q.maps]}
     _print(args, payload,
            f"{len(q)} join-preserving maps; top={list(q.top_map.table)}, "
@@ -102,17 +98,19 @@ def _cmd_galois_classify(args) -> int:
 
 # -- hilbert ------------------------------------------------------------------
 
+_HILBERT_OPS = {"meet": meet_s, "join": join_s, "ortho": ortho_s, "sasaki": sasaki_s}
+
+
 def _cmd_hilbert(args) -> int:
-    a = span(jsonio.parse_matrix(jsonio.load_json(args.a)), args.tol)
-    if args.op == "ortho":
-        result = ortho_s(a)
-    else:
-        if args.b is None:
+    paths = [args.a] if args.op == "ortho" else [args.a, args.b]
+    operands = []
+    for path in paths:
+        if path is None:
             print(f"error: hilbert {args.op} needs two subspace files",
                   file=sys.stderr)
             return USAGE_ERROR
-        b = span(jsonio.parse_matrix(jsonio.load_json(args.b)), args.tol)
-        result = {"meet": meet_s, "join": join_s, "sasaki": sasaki_s}[args.op](a, b)
+        operands.append(span(jsonio.parse_matrix(jsonio.load_json(path)), args.tol))
+    result = _HILBERT_OPS[args.op](*operands)
     payload = jsonio.dump_matrix(result.frame)
     _print(args, payload,
            f"dim {result.dim} subspace of C^{result.ambient_dim}; frame:\n"
@@ -171,8 +169,6 @@ def _cmd_cascade_run(args) -> int:
     tv = jsonio.parse_tensor_vector(jsonio.load_json(args.state))
     psi = jsonio.parse_vector(jsonio.load_json(args.left))
     phi = jsonio.parse_vector(jsonio.load_json(args.right))
-    from .operators import ANTILINEAR, from_tensor
-
     op = from_tensor(tv, ANTILINEAR)
     trace = cascade_mod.run_cascade(op, span(psi), span(phi), order=args.order)
     born = cascade_mod.born_probability(tv, psi, phi)
@@ -198,7 +194,7 @@ def _cmd_cascade_run(args) -> int:
     lines.append(f"joint probability: {trace.joint_probability:.12f}")
     lines.append(f"born probability:  {born:.12f}")
     _print(args, payload, "\n".join(lines))
-    return OK if abs(trace.joint_probability - born) <= 1e-9 else VIOLATION
+    return OK if abs(trace.joint_probability - born) <= args.tol else VIOLATION
 
 
 def _cmd_cascade_verify(args) -> int:
@@ -229,21 +225,11 @@ def _cmd_quantale_check(args) -> int:
     space = jsonio.parse_space(jsonio.load_json(args.file))
     members = enumerate_members(space)
     report = check_quantale_laws(space, members)
-    payload = {
-        "members": report.members,
-        "associative": report.associative,
-        "left_distributive": report.left_distributive,
-        "right_distributive": report.right_distributive,
-        "union_closed": report.union_closed,
-        "bottom_is_empty": report.bottom_is_empty,
-        "epimorphism_failures": len(report.epimorphism.failures),
-    }
-    text = (f"{report.members} members; associative={report.associative}, "
-            f"left-distributive={report.left_distributive}, "
-            f"right-distributive={report.right_distributive}, "
-            f"union-closed={report.union_closed}, bottom-is-empty={report.bottom_is_empty}, "
-            f"epimorphism failures={len(report.epimorphism.failures)}")
-    _print(args, payload, text)
+    failures = len(report.epimorphism.failures)
+    payload = {"members": report.members, **report.laws, "epimorphism_failures": failures}
+    laws = ", ".join(f"{law.replace('_', '-')}={holds}" for law, holds in report.laws.items())
+    _print(args, payload,
+           f"{report.members} members; {laws}, epimorphism failures={failures}")
     return OK if report.ok else VIOLATION
 
 
@@ -253,10 +239,7 @@ def _cmd_quantale_epi(args) -> int:
     report = epimorphism_check(space, members)
     payload = {
         "pairs": report.pairs,
-        "failures": [
-            {"law": f.law, "left": f.left, "right": f.right}
-            for f in report.failures
-        ],
+        "failures": [dataclasses.asdict(f) for f in report.failures],
     }
     _print(args, payload,
            f"{report.pairs} pairs checked, {len(report.failures)} failures")
@@ -276,7 +259,13 @@ def _print_laws(name: str, trials: int, max_discrepancy: float, failures,
               f"(discrepancy {failure.discrepancy:.3e})")
 
 
-def _run_suites(args, names) -> int:
+def _cmd_verify(args) -> int:
+    names = args.suites or list(SUITE_NAMES)
+    for name in names:
+        if name not in SUITE_NAMES:
+            raise UnknownSuite(
+                f"unknown suite {name!r}; expected one of {SUITE_NAMES}"
+            )
     reports = [run_suite(name, args.seed, args.trials, tol=args.tol) for name in names]
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
@@ -285,16 +274,6 @@ def _run_suites(args, names) -> int:
             _print_laws(r.suite, r.trials, r.max_discrepancy, r.failures,
                         f" elapsed={r.elapsed_s:.2f}s")
     return OK if all(r.ok for r in reports) else VIOLATION
-
-
-def _cmd_verify(args) -> int:
-    names = args.suites or list(SUITE_NAMES)
-    for name in names:
-        if name not in SUITE_NAMES:
-            raise UnknownSuite(
-                f"unknown suite {name!r}; expected one of {SUITE_NAMES}"
-            )
-    return _run_suites(args, names)
 
 
 def _cmd_convert(args) -> int:
@@ -325,85 +304,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lattice = sub.add_parser("lattice").add_subparsers(dest="sub", required=True)
-    p = lattice.add_parser("check", parents=[shared])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_lattice_check)
-    p = lattice.add_parser("sasaki", parents=[shared])
-    p.add_argument("file")
+    def group(name):
+        return sub.add_parser(name).add_subparsers(dest="sub", required=True)
+
+    def command(parent, name, handler, *positionals):
+        p = parent.add_parser(name, parents=[shared])
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=handler)
+        return p
+
+    lattice = group("lattice")
+    command(lattice, "check", _cmd_lattice_check, "file")
+    command(lattice, "sasaki", _cmd_lattice_sasaki, "file", "a", "b")
+
+    galois = group("galois")
+    command(galois, "dual", _cmd_galois_dual, "file")
+    command(galois, "enumerate", _cmd_galois_enumerate, "source", "target")
+    command(galois, "classify", _cmd_galois_classify, "file")
+
+    p = command(sub, "hilbert", _cmd_hilbert)
+    p.add_argument("op", choices=list(_HILBERT_OPS))
     p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_lattice_sasaki)
+    p.add_argument("b", nargs="?")
 
-    galois = sub.add_parser("galois").add_subparsers(dest="sub", required=True)
-    p = galois.add_parser("dual", parents=[shared])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_galois_dual)
-    p = galois.add_parser("enumerate", parents=[shared])
-    p.add_argument("source")
-    p.add_argument("target")
-    p.set_defaults(func=_cmd_galois_enumerate)
-    p = galois.add_parser("classify", parents=[shared])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_galois_classify)
-
-    hilbert = sub.add_parser("hilbert", parents=[shared])
-    hilbert.add_argument("op", choices=["meet", "join", "ortho", "sasaki"])
-    hilbert.add_argument("a")
-    hilbert.add_argument("b", nargs="?")
-    hilbert.set_defaults(func=_cmd_hilbert)
-
-    compound = sub.add_parser("compound").add_subparsers(dest="sub", required=True)
-    p = compound.add_parser("quadruple", parents=[shared])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_compound_quadruple)
-    p = compound.add_parser("tensor", parents=[shared])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_compound_tensor)
-    p = compound.add_parser("probe", parents=[shared])
-    p.add_argument("f")
-    p.add_argument("g")
+    compound = group("compound")
+    command(compound, "quadruple", _cmd_compound_quadruple, "file")
+    command(compound, "tensor", _cmd_compound_tensor, "file")
+    p = command(compound, "probe", _cmd_compound_probe, "f", "g")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_compound_probe)
 
-    cascade = sub.add_parser("cascade").add_subparsers(dest="sub", required=True)
-    p = cascade.add_parser("run", parents=[shared])
+    cascade = group("cascade")
+    p = command(cascade, "run", _cmd_cascade_run)
     p.add_argument("--state", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--order", default=cascade_mod.LEFT_FIRST,
                    choices=[cascade_mod.LEFT_FIRST, cascade_mod.RIGHT_FIRST])
-    p.set_defaults(func=_cmd_cascade_run)
-    p = cascade.add_parser("verify", parents=[shared])
+    p = command(cascade, "verify", _cmd_cascade_verify)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_cascade_verify)
 
-    quantale = sub.add_parser("quantale").add_subparsers(dest="sub", required=True)
-    p = quantale.add_parser("check", parents=[shared])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_quantale_check)
-    p = quantale.add_parser("epi", parents=[shared])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_quantale_epi)
+    quantale = group("quantale")
+    command(quantale, "check", _cmd_quantale_check, "file")
+    command(quantale, "epi", _cmd_quantale_epi, "file")
 
-    verify = sub.add_parser("verify", parents=[shared])
-    verify.add_argument("suites", nargs="*",
-                        help=f"suites to run (default: all of {SUITE_NAMES})")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--trials", type=int, default=100)
-    verify.set_defaults(func=_cmd_verify)
+    p = command(sub, "verify", _cmd_verify)
+    p.add_argument("suites", nargs="*",
+                   help=f"suites to run (default: all of {SUITE_NAMES})")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=100)
 
-    convert = sub.add_parser("convert", parents=[shared])
-    convert.add_argument("input")
-    convert.add_argument("output", nargs="?")
-    convert.add_argument("--from", dest="source_format", required=True,
-                         choices=list(jsonio.FORMATS))
-    convert.add_argument("--to", dest="target_format", required=True,
-                         choices=list(jsonio.FORMATS))
-    convert.set_defaults(func=_cmd_convert)
+    p = command(sub, "convert", _cmd_convert, "input")
+    p.add_argument("output", nargs="?")
+    p.add_argument("--from", dest="source_format", required=True,
+                   choices=list(jsonio.FORMATS))
+    p.add_argument("--to", dest="target_format", required=True,
+                   choices=list(jsonio.FORMATS))
     return parser
 
 

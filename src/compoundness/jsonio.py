@@ -73,6 +73,12 @@ def parse_lattice(obj) -> FiniteLattice | OrthoLattice:
     return base
 
 
+def parse_base_lattice(obj) -> FiniteLattice:
+    """A lattice file read as a plain lattice: any "ortho" list is validated, then dropped."""
+    lat = parse_lattice(obj)
+    return lat.base if isinstance(lat, OrthoLattice) else lat
+
+
 def dump_lattice(lat: FiniteLattice | OrthoLattice) -> dict:
     base = lat.base if isinstance(lat, OrthoLattice) else lat
     n = len(base)
@@ -87,12 +93,8 @@ def dump_lattice(lat: FiniteLattice | OrthoLattice) -> dict:
 
 def parse_join_map(obj) -> JoinMap:
     """{"source": <lattice>, "target": <lattice>, "table": [j0, j1, ...]}"""
-    source = parse_lattice(_require(obj, "source", "map"))
-    target = parse_lattice(_require(obj, "target", "map"))
-    if isinstance(source, OrthoLattice):
-        source = source.base
-    if isinstance(target, OrthoLattice):
-        target = target.base
+    source = parse_base_lattice(_require(obj, "source", "map"))
+    target = parse_base_lattice(_require(obj, "target", "map"))
     table = _require(obj, "table", "map")
     if not isinstance(table, list) or not all(isinstance(v, int) for v in table):
         raise ParseError("map: 'table' must be a list of target indices")
@@ -198,9 +200,7 @@ def dump_tensor_vector(tv: TensorVector) -> dict:
 def parse_space(obj) -> ProperStateSpace:
     """{"states": [...], "lattice": <lattice>, "c_map": [li, ...]}"""
     states = _require(obj, "states", "state space")
-    lattice = parse_lattice(_require(obj, "lattice", "state space"))
-    if isinstance(lattice, OrthoLattice):
-        lattice = lattice.base
+    lattice = parse_base_lattice(_require(obj, "lattice", "state space"))
     c_map = _require(obj, "c_map", "state space")
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise ParseError("state space: 'states' must be a list of strings")

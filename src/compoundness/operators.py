@@ -270,7 +270,7 @@ class AtomicityReport:
 
 
 def atomicity_probe(f_op: CompoundOperator, g_op: CompoundOperator, ray_samples: int,
-                    rng: np.random.Generator | None = None) -> AtomicityReport:
+                    rng: np.random.Generator) -> AtomicityReport:
     """Sample rays and compare the induced maps of two operators.
 
     Checks, ray by ray, whether span(F v) is contained in span(G v) and
@@ -280,8 +280,6 @@ def atomicity_probe(f_op: CompoundOperator, g_op: CompoundOperator, ray_samples:
     """
     if f_op.matrix.shape != g_op.matrix.shape or f_op.linearity != g_op.linearity:
         raise MixedSignatures("operators must share shape and linearity")
-    if rng is None:
-        rng = np.random.default_rng(0)
     scale_f = max(1.0, float(np.linalg.norm(f_op.matrix)))
     scale_g = max(1.0, float(np.linalg.norm(g_op.matrix)))
 

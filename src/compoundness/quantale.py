@@ -16,7 +16,7 @@ morphism check) index one array, the act table of k maps on n states: a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -264,9 +264,14 @@ class QuantaleLawReport:
     epimorphism: EpimorphismReport
 
     @property
+    def laws(self) -> dict[str, bool]:
+        """Each boolean law field by name, in field order."""
+        # postponed annotations make each field's type its source text
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.type == "bool"}
+
+    @property
     def ok(self) -> bool:
-        return (self.associative and self.left_distributive and self.right_distributive
-                and self.union_closed and self.bottom_is_empty and self.epimorphism.ok)
+        return all(self.laws.values()) and self.epimorphism.ok
 
 
 def transition_tables(members: Sequence[TransitionMap]) -> tuple[np.ndarray, np.ndarray]:

@@ -41,10 +41,8 @@ def random_subspace(rng: np.random.Generator, dim: int,
 
 
 def random_subspace_in(rng: np.random.Generator, ambient: Subspace,
-                       rank: int | None = None) -> Subspace:
-    """Random subspace contained in ``ambient``."""
-    if rank is None:
-        rank = int(rng.integers(0, ambient.dim + 1))
+                       rank: int) -> Subspace:
+    """Random subspace of dimension ``rank`` contained in ``ambient``."""
     if rank == 0:
         return Subspace.zero(ambient.ambient_dim, ambient.tol)
     mix = random_unitary(rng, ambient.dim)[:, :rank]

@@ -23,8 +23,7 @@ from .galois import (
     pointwise_join,
     order_antitone_check,
 )
-from .hilbert import _sasaki_sides, join_s, meet_s, ortho_s, span
-from .lattice import FiniteLattice
+from .hilbert import DEFAULT_TOL, _sasaki_sides, join_s, meet_s, ortho_s, span
 from .operators import (
     ANTILINEAR,
     LINEAR,
@@ -44,35 +43,15 @@ from .sampling import (
     random_unitary,
 )
 
-SUITE_NAMES = (
-    "galois",
-    "orthomodular",
-    "sasaki",
-    "tensor-iso",
-    "quadruple",
-    "cascade-born",
-    "prop2",
-    "quantale",
-)
-
-
-def _lattice_pairs() -> list[tuple[str, str, FiniteLattice, FiniteLattice]]:
-    lattices = standard_lattices()
-    return [
-        (n1, n2, l1, l2)
-        for (n1, l1), (n2, l2) in itertools.product(lattices.items(), repeat=2)
-    ]
-
-
 @functools.lru_cache(maxsize=1)
 def _enumerated_pairs():
     return tuple(
-        (n1, n2, enumerate_Q(l1, l2)) for n1, n2, l1, l2 in _lattice_pairs()
+        (n1, n2, enumerate_Q(l1, l2))
+        for (n1, l1), (n2, l2) in itertools.product(standard_lattices().items(), repeat=2)
     )
 
 
-def _suite_galois(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
-    rec = LawRecorder(tol)
+def _suite_galois(rng: np.random.Generator, trials: int, rec: LawRecorder) -> None:
     enumerated = _enumerated_pairs()
     for _ in range(trials):
         n1, n2, q = enumerated[rng.integers(len(enumerated))]
@@ -97,11 +76,9 @@ def _suite_galois(rng: np.random.Generator, trials: int, tol: float) -> LawRecor
         )
         rec.require("dual-of-join-is-meet-of-duals",
                     joined_dual.table == met, where)
-    return rec
 
 
-def _suite_orthomodular(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
-    rec = LawRecorder(tol)
+def _suite_orthomodular(rng: np.random.Generator, trials: int, rec: LawRecorder) -> None:
     for _ in range(trials):
         dim = int(rng.integers(2, 5))
         inner, outer = random_nested_pair(rng, dim)
@@ -125,11 +102,9 @@ def _suite_orthomodular(rng: np.random.Generator, trials: int, tol: float) -> La
             np.linalg.norm(lhs.projector() - rhs.projector()),
             f"dim={dim} ranks=({a.dim},{b.dim})",
         )
-    return rec
 
 
-def _suite_sasaki(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
-    rec = LawRecorder(tol)
+def _suite_sasaki(rng: np.random.Generator, trials: int, rec: LawRecorder) -> None:
     lantern = mo(2)
     for _ in range(trials):
         dim = int(rng.integers(2, 5))
@@ -160,11 +135,9 @@ def _suite_sasaki(rng: np.random.Generator, trials: int, tol: float) -> LawRecor
                 lantern.sasaki(x, y) == lantern.base.meet2(x, y),
                 f"MO2 x={x} y={y}",
             )
-    return rec
 
 
-def _suite_tensor_iso(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
-    rec = LawRecorder(tol)
+def _suite_tensor_iso(rng: np.random.Generator, trials: int, rec: LawRecorder) -> None:
     for _ in range(trials):
         dim_left = int(rng.integers(1, 9))
         dim_right = int(rng.integers(1, 9))
@@ -184,11 +157,9 @@ def _suite_tensor_iso(rng: np.random.Generator, trials: int, tol: float) -> LawR
                 float(np.linalg.norm(back.coefficients - tv.coefficients)),
                 where,
             )
-    return rec
 
 
-def _suite_quadruple(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
-    rec = LawRecorder(tol)
+def _suite_quadruple(rng: np.random.Generator, trials: int, rec: LawRecorder) -> None:
     for _ in range(trials):
         d1 = int(rng.integers(1, 5))
         d2 = int(rng.integers(1, 5))
@@ -210,11 +181,9 @@ def _suite_quadruple(rng: np.random.Generator, trials: int, tol: float) -> LawRe
                 abs(np.vdot(w, op.apply(v)) - np.vdot(quad.f21.apply(w), v)),
                 where,
             )
-    return rec
 
 
-def _suite_cascade_born(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
-    rec = LawRecorder(tol)
+def _suite_cascade_born(rng: np.random.Generator, trials: int, rec: LawRecorder) -> None:
     for trial in range(trials):
         d1 = int(rng.integers(2, 5))
         d2 = int(rng.integers(2, 5))
@@ -244,15 +213,12 @@ def _suite_cascade_born(rng: np.random.Generator, trials: int, tol: float) -> La
                 for j in range(d2)
             )
             rec.check("completeness", abs(total - 1.0), where)
-    return rec
 
 
-def _suite_prop2(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
-    rec = LawRecorder(tol)
+def _suite_prop2(rng: np.random.Generator, trials: int, rec: LawRecorder) -> None:
     for dim in (2, 3):
         sub_rng = np.random.default_rng(rng.integers(2**63))
-        rec.absorb(cascade_mod.check_prop2(dim, trials // 2, rng=sub_rng, tol=tol))
-    return rec
+        rec.absorb(cascade_mod.check_prop2(dim, trials // 2, rng=sub_rng, tol=rec.tol))
 
 
 def _quantale_spaces() -> list[ProperStateSpace]:
@@ -261,8 +227,7 @@ def _quantale_spaces() -> list[ProperStateSpace]:
     return [two, three]
 
 
-def _suite_quantale(rng: np.random.Generator, trials: int, tol: float) -> LawRecorder:
-    rec = LawRecorder(tol)
+def _suite_quantale(rng: np.random.Generator, trials: int, rec: LawRecorder) -> None:
     spaces = _quantale_spaces()
     lattice_pool = [chain(2), chain(3), boolean(2).base]
     # the space family is small, so repeated trials hit this cache
@@ -290,12 +255,9 @@ def _suite_quantale(rng: np.random.Generator, trials: int, tol: float) -> LawRec
             report = check_quantale_laws(space, members)
             reports[key] = (space, members, report)
         where = f"states={space.states} c_map={space.c_map} members={len(members)}"
-        rec.require("quantale-associativity", report.associative, where)
-        rec.require("quantale-left-distributivity", report.left_distributive, where)
-        rec.require("quantale-right-distributivity", report.right_distributive, where)
-        rec.require("quantale-union-closed", report.union_closed, where)
+        for law, holds in report.laws.items():
+            rec.require("quantale-" + law.replace("_", "-"), holds, where)
         rec.require("quantale-epimorphism", report.epimorphism.ok, where)
-    return rec
 
 
 _SUITES = {
@@ -308,15 +270,17 @@ _SUITES = {
     "prop2": _suite_prop2,
     "quantale": _suite_quantale,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, seed: int, trials: int, tol: float = 1e-9) -> VerificationReport:
+def run_suite(name: str, seed: int, trials: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Run one named suite; deterministic given (name, seed, trials)."""
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     rng = np.random.default_rng(seed)
+    rec = LawRecorder(tol)
     start = time.perf_counter()
-    rec = _SUITES[name](rng, trials, tol)
+    _SUITES[name](rng, trials, rec)
     elapsed = time.perf_counter() - start
     return VerificationReport(
         suite=name,

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import compoundness.cascade
 from compoundness import cli, jsonio
 from compoundness.catalog import boolean, chain, mo
 from compoundness.cli import main
 from compoundness.operators import TensorVector
 from compoundness.quantale import ProperStateSpace, check_quantale_laws
+
+
+REPO = Path(__file__).resolve().parent.parent
+DATA = REPO / "data"
 
 
 @pytest.fixture()
@@ -49,6 +57,7 @@ def test_parse_error_exits_two(tmp_path, capsys):
 
 _CHAIN2 = {"elements": ["0", "1"], "leq": [[0, 1]]}
 _MATRIX = {"rows": 2, "cols": 1, "re": [[1.0], [0.0]], "im": [[0.0], [0.0]]}
+_TV_TO_MATRIX = ["convert", "--from", "tv-json", "--to", "matrix-json"]
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -61,8 +70,20 @@ _MATRIX = {"rows": 2, "cols": 1, "re": [[1.0], [0.0]], "im": [[0.0], [0.0]]}
     (["compound", "quadruple"], dict(_MATRIX, rows=2.9, cols=True)),
     (["compound", "quadruple"], dict(_MATRIX, rows=2.0)),
     (["compound", "quadruple"], dict(_MATRIX, cols=True)),
+    (["lattice", "check"], ["0", "1"]),
+    (["lattice", "check"], {"elements": [0, 1], "leq": [[0, 1]]}),
+    (["lattice", "check"], {"elements": ["0", "1"], "leq": [[0, 1, 1]]}),
+    (["lattice", "check"], dict(_CHAIN2, ortho=["1", "0"])),
+    (["galois", "dual"], {"source": _CHAIN2, "target": _CHAIN2, "table": ["0", "1"]}),
+    (_TV_TO_MATRIX, {"coefficients": {"re": [1.0, 0.0], "im": [0.0]},
+                     "left_basis": _MATRIX, "right_basis": _MATRIX}),
+    (["quantale", "check"], {"states": [1, 2], "lattice": _CHAIN2, "c_map": [1, 1]}),
+    (["quantale", "check"], {"states": ["p", "q"], "lattice": _CHAIN2, "c_map": ["1", "1"]}),
 ], ids=["duplicate-elements", "short-ortho", "duplicate-states", "rows-string",
-        "rows-null", "ragged-re", "rows-float-cols-bool", "rows-integral-float", "cols-bool"])
+        "rows-null", "ragged-re", "rows-float-cols-bool", "rows-integral-float", "cols-bool",
+        "lattice-not-object", "elements-not-strings", "leq-not-pairs", "ortho-not-integers",
+        "table-not-integers", "coefficients-unequal", "states-not-strings",
+        "c-map-not-integers"])
 def test_malformed_file_is_a_parse_error(files, capsys, command, payload):
     path = files("bad.json", payload)
     assert main([*command, path]) == 2
@@ -79,6 +100,38 @@ def test_lattice_sasaki(files, capsys):
     path = files("mo2.json", jsonio.dump_lattice(mo(2)))
     assert main(["lattice", "sasaki", path, "a", "b"]) == 0
     assert capsys.readouterr().out.strip() == "a"
+
+
+def test_lattice_sasaki_without_ortho_is_a_usage_error(capsys):
+    assert main(["lattice", "sasaki", str(DATA / "chain2.json"), "0", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _json_out(capsys, argv) -> dict:
+    assert main(["--json", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_files_with_ortho_read_as_their_plain_lattice(files, capsys):
+    plain_mo2 = files("mo2-plain.json", jsonio.dump_lattice(mo(2).base))
+    assert (_json_out(capsys, ["galois", "enumerate", str(DATA / "mo2.json"), str(DATA / "b2.json")])
+            == _json_out(capsys, ["galois", "enumerate", plain_mo2, str(DATA / "b2.json")]))
+
+    two = chain(2)
+    table = [two.bottom, two.top, two.top, two.top]
+    for command in (["galois", "dual"], ["galois", "classify"]):
+        maps = [files(f"map-{i}.json", {"source": jsonio.dump_lattice(b2),
+                                        "target": jsonio.dump_lattice(two), "table": table})
+                for i, b2 in enumerate((boolean(2), boolean(2).base))]
+        assert _json_out(capsys, [*command, maps[0]]) == _json_out(capsys, [*command, maps[1]])
+
+    b2 = boolean(2)
+    c_map = [b2.base.index("a"), b2.base.index("b"), b2.base.index("a")]
+    spaces = [files(f"space-{i}.json", {"states": ["p", "q", "r"],
+                                        "lattice": jsonio.dump_lattice(lat), "c_map": c_map})
+              for i, lat in enumerate((b2, b2.base))]
+    assert (_json_out(capsys, ["quantale", "check", spaces[0]])
+            == _json_out(capsys, ["quantale", "check", spaces[1]]))
 
 
 def test_galois_dual_and_classify(files, capsys):
@@ -154,6 +207,16 @@ def test_compound_probe(files, capsys):
     assert main(["--json", "compound", "probe", f, f, "--samples", "50"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["consistent"] and payload["equal_on_samples"]
+
+
+def test_cascade_run_exit_code_honours_tol(monkeypatch, capsys):
+    born = compoundness.cascade.born_probability
+    monkeypatch.setattr(compoundness.cascade, "born_probability",
+                        lambda *args: born(*args) + 1e-6)
+    argv = ["--quiet", "cascade", "run", "--state", str(DATA / "anticorrelated-pair.json"),
+            "--left", str(DATA / "e1.json"), "--right", str(DATA / "e1.json")]
+    assert main(argv) == 1
+    assert main([*argv, "--tol", "1e-3"]) == 0
 
 
 def test_cascade_run_matches_born(files, capsys):
@@ -256,3 +319,49 @@ def test_quiet_suppresses_text(files, capsys):
     path = files("c2.json", jsonio.dump_lattice(chain(2)))
     assert main(["--quiet", "lattice", "check", path]) == 0
     assert capsys.readouterr().out == ""
+
+
+def _leaves(parser, path=()):
+    """(path, parser) for every command parser below ``parser`` that has no subcommands."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for action in groups:
+        for name, child in action.choices.items():
+            yield from _leaves(child, (*path, name))
+
+
+def _required_arguments(parser) -> list[str]:
+    argv = []
+    for action in parser._actions:
+        value = next(iter(action.choices)) if action.choices else "x"
+        if not action.option_strings and action.nargs is None:
+            argv.append(value)
+        elif action.required and action.option_strings:
+            argv += [action.option_strings[0], value]
+    return argv
+
+
+def test_every_leaf_command_takes_the_shared_flags_after_its_name():
+    leaves = list(_leaves(cli.build_parser()))
+    assert len(leaves) == 15
+    for path, leaf in leaves:
+        argv = [*path, *_required_arguments(leaf), "--json", "--quiet", "--tol", "1e-3"]
+        args = cli.build_parser().parse_args(argv)
+        assert (args.json, args.quiet, args.tol) == (True, True, 1e-3), path
+        assert callable(args.func), path
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [re.sub(r"\s+#.*$", "", line).split()[1:]
+            for line in block.splitlines() if line.startswith("compoundness ")]
+
+
+def test_readme_command_examples_exit_zero(monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    commands = _readme_commands()
+    assert len(commands) == 16
+    for argv in commands:
+        assert main(["--quiet", *argv]) == 0, argv

@@ -90,6 +90,14 @@ def test_schema_violations_raise_parse_errors():
         jsonio.parse_operator(dict(jsonio.dump_matrix(np.eye(2)), linearity="sideways"))
 
 
+def test_parse_base_lattice_validates_then_drops_ortho():
+    read = jsonio.parse_base_lattice(jsonio.dump_lattice(mo(2)))
+    assert not isinstance(read, OrthoLattice)
+    assert read.same_structure(mo(2).base)
+    with pytest.raises(ParseError):
+        jsonio.parse_base_lattice(dict(jsonio.dump_lattice(mo(2)), ortho=[5, 2, 1]))
+
+
 def test_same_format_conversion_revalidates():
     data = jsonio.dump_matrix(np.eye(2))
     out = jsonio.convert(data, "matrix-json", "matrix-json")

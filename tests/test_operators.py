@@ -384,4 +384,5 @@ def test_probe_rejects_mixed_signatures():
             random_operator(rng, 2, 2, LINEAR),
             random_operator(rng, 2, 2, ANTILINEAR),
             10,
+            rng=rng,
         )

@@ -295,6 +295,15 @@ def test_report_ok_requires_right_distributivity():
     assert not dataclasses.replace(report, right_distributive=False).ok
 
 
+def test_report_laws_list_every_boolean_field_and_ok_requires_each():
+    report = check_quantale_laws(two_state_space())
+    assert report.laws == {"associative": True, "left_distributive": True,
+                           "right_distributive": True, "union_closed": True,
+                           "bottom_is_empty": True}
+    for law in report.laws:
+        assert not dataclasses.replace(report, **{law: False}).ok, law
+
+
 def test_law_report_with_a_boolean_property_lattice():
     b2 = boolean(2).base
     space = ProperStateSpace(("p", "q", "r"), b2, (b2.index("a"), b2.index("b"), b2.index("a")))

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import compoundness.suites
 from compoundness.errors import UnknownSuite
 from compoundness.reporting import LawFailure, LawRecorder, VerificationReport
 from compoundness.suites import SUITE_NAMES, run_suite
@@ -19,6 +21,21 @@ def test_every_suite_passes_on_small_runs(name):
     assert report.ok, report.failures[:3]
     assert report.suite == name
     assert report.trials == trials
+
+
+def test_suite_names_keep_their_order():
+    assert SUITE_NAMES == ("galois", "orthomodular", "sasaki", "tensor-iso", "quadruple",
+                           "cascade-born", "prop2", "quantale")
+
+
+def test_quantale_suite_records_every_law_of_the_report(monkeypatch):
+    check = compoundness.suites.check_quantale_laws
+    monkeypatch.setattr(
+        compoundness.suites, "check_quantale_laws",
+        lambda *args: dataclasses.replace(check(*args), bottom_is_empty=False),
+    )
+    report = run_suite("quantale", seed=0, trials=2)
+    assert {f.law for f in report.failures} == {"quantale-bottom-is-empty"}
 
 
 def test_zero_trials_is_a_trivial_pass():
