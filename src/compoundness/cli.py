@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cascade as cascade_mod
 from . import jsonio
-from .errors import CompoundnessError, ParseError, UnknownSuite
+from .errors import CompoundnessError, ParseError, UnknownElement, UnknownSuite
 from .galois import classify_map, enumerate_Q, galois_dual
 from .hilbert import DEFAULT_TOL, join_s, meet_s, ortho_s, sasaki_s, span
 from .lattice import OrthoLattice
@@ -61,8 +61,11 @@ def _cmd_lattice_sasaki(args) -> int:
     if not isinstance(lat, OrthoLattice):
         print("error: lattice file has no orthocomplement", file=sys.stderr)
         return USAGE_ERROR
-    a = lat.base.index(args.a)
-    b = lat.base.index(args.b)
+    try:
+        a, b = lat.base.index(args.a), lat.base.index(args.b)
+    except UnknownElement as exc:  # a label typed on the command line
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     result = lat.sasaki(a, b)
     _print(args, {"result": lat.base.elements[result]},
            lat.base.elements[result])

@@ -140,6 +140,15 @@ def _compatible(space: ProperStateSpace, images: np.ndarray) -> np.ndarray:
     return ~(act[:, closure] & ~closure[act]).any(axis=1)
 
 
+_BLOCK_ELEMENTS = 1 << 16  # entries per block of the row-blocked checks
+
+
+def _row_blocks(m: int) -> list[slice]:
+    """Slices covering range(m): as many rows of (m, m) as fit a block, or one."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, m) ** 2)
+    return [slice(start, start + step) for start in range(0, m, step)]
+
+
 def is_member(f: TransitionMap) -> bool:
     """Closure compatibility: f(cl(T)) is contained in cl(f(T)) for all T."""
     return bool(_compatible(f.space, _image_array([f], len(f.space)))[0])
@@ -180,19 +189,26 @@ def property_propagation(f: TransitionMap) -> JoinMap:
     C(f({states below x})), which is join-preserving whenever the state
     properties join-generate the lattice.
     """
-    space = f.space
-    strongest = space._strongest_by_mask
-    act = _act_table(_image_array([f], len(space)))[0].tolist()
-    first: dict[int, int] = {}
-    for mask, prop in enumerate(strongest):
-        seen = first.setdefault(prop, mask)
-        if strongest[act[mask]] != strongest[act[seen]]:
+    return _propagations(f.space, _act_table(_image_array([f], len(f.space))))[0]
+
+
+def _propagations(space: ProperStateSpace, act: np.ndarray) -> list[JoinMap]:
+    """:func:`property_propagation` of each row of the act table ``act``, in
+    order: the first row that is ill defined or not join-preserving raises."""
+    strongest = np.array(space._strongest_by_mask)
+    _, first, inverse = np.unique(strongest, return_index=True, return_inverse=True)
+    first_mask, below = first[inverse], list(space._closure_by_property)
+    props = strongest[act]
+    maps = []
+    for row, ill in zip(props, props != props[:, first_mask]):
+        if ill.any():
+            mask = int(ill.argmax())
             raise IllDefined(
                 "propagation is not well defined on equal-property subsets",
-                witness=(space.subset_labels(seen), space.subset_labels(mask)),
+                witness=(space.subset_labels(int(first_mask[mask])), space.subset_labels(mask)),
             )
-    table = tuple(strongest[act[below]] for below in space._closure_by_property)
-    return JoinMap(source=space.lattice, target=space.lattice, table=table)
+        maps.append(JoinMap(space.lattice, space.lattice, tuple(row[below].tolist())))
+    return maps
 
 
 def enumerate_members(space: ProperStateSpace) -> tuple[TransitionMap, ...]:
@@ -230,24 +246,25 @@ def epimorphism_check(space: ProperStateSpace,
                       sample: Sequence[TransitionMap]) -> EpimorphismReport:
     """Verify propagation respects composition and union on all pairs.
 
-    Sample maps go through :func:`property_propagation`, so an ill-defined
-    or non-join-preserving one raises. Their composites and unions need no
-    such check: C(T) = C(T') gives C(fgT) = C(fgT'), and C(fT u gT) = C(fT) v C(gT).
+    Sample maps are read in ``space`` as by :func:`property_propagation`, so the
+    first ill-defined or non-join-preserving one raises. Their composites and
+    unions need no such check: C(T) = C(T') gives C(fgT) = C(fgT'), and C(fT u gT) = C(fT) v C(gT).
     """
-    props = np.array([property_propagation(f).table for f in sample],
-                     dtype=np.int64).reshape(len(sample), len(space.lattice))
+    act = _act_table(_image_array(sample, len(space)))
+    _propagations(space, act)  # validates every sample map
     strongest = np.array(space._strongest_by_mask)
     join2 = space.lattice.join_table
-    act = _act_table(_image_array(sample, len(space)))
-    # row j: map j's image of the states below each property
+    # row j: map j's image of the states below each property, and its property
     act_below = act[:, list(space._closure_by_property)]
+    props = strongest[act_below]
     failures: list[PairFailure] = []
-    for i, f in enumerate(sample):
-        composed = (strongest[act[i][act_below]] != props[i][props]).any(axis=1)
-        joined = (strongest[act_below[i] | act_below] != join2[props[i], props]).any(axis=1)
-        for j in np.flatnonzero(composed | joined):
-            failures += [PairFailure(law, repr(f), repr(sample[j]))
-                         for law, bad in (("composition", composed), ("union", joined)) if bad[j]]
+    for block in _row_blocks(len(sample)):
+        bad = np.stack([strongest[act[block].take(act_below, axis=1)]
+                        != props[block].take(props, axis=1),
+                        strongest[act_below[block, None] | act_below]
+                        != join2[props[block, None], props]], axis=2).any(axis=3)
+        failures += [PairFailure(("composition", "union")[law], repr(sample[block.start + b]),
+                                 repr(sample[j])) for b, j, law in np.argwhere(bad)]
     return EpimorphismReport(pairs=len(sample) ** 2, failures=tuple(failures))
 
 
@@ -272,6 +289,27 @@ class QuantaleLawReport:
     @property
     def ok(self) -> bool:
         return all(self.laws.values()) and self.epimorphism.ok
+
+
+def _triple_laws(comp: np.ndarray, union: np.ndarray) -> tuple[bool, bool, bool]:
+    """Associativity, left and right distributivity on every triple (i, j, k):
+    (ij)k = i(jk), i(j u k) = ij u ik and (i u j)k = ik u jk, compared as
+    (B, m, m) arrays over (j, k) for each block of rows i."""
+    m = len(comp)
+    comp_at, union_at = comp.astype(np.intp), union.astype(np.intp)
+    union_row = comp_at * m  # where row comp[i, j] of union starts, flattened
+    associative = left = right = True
+    for block in _row_blocks(m):
+        rows = comp_at[block]
+        associative = associative and np.array_equal(
+            comp.take(rows, axis=0), comp[block].take(comp_at, axis=1))
+        left = left and np.array_equal(
+            comp[block].take(union_at, axis=1),
+            union.take(union_row[block][:, :, None] + rows[:, None, :]))
+        right = right and np.array_equal(
+            comp.take(union_at[block], axis=0),
+            union.take(union_row[block][:, None, :] + comp_at))
+    return associative, left, right
 
 
 def transition_tables(members: Sequence[TransitionMap]) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +346,7 @@ def check_quantale_laws(space: ProperStateSpace,
     """Exhaustively verify the quantale laws on a small state space.
 
     Associativity and both distributivity sides are checked over every
-    triple of members via vectorized index tables; closure under arbitrary
+    triple of members in row blocks of O(m**2) memory; closure under arbitrary
     unions is checked on the full member set; the propagation morphism is
     checked on every pair.
     """
@@ -316,11 +354,7 @@ def check_quantale_laws(space: ProperStateSpace,
         members = enumerate_members(space)
     comp, union = transition_tables(members)
 
-    associative = bool(np.array_equal(comp[comp], comp[:, comp]))
-    left = bool(np.array_equal(comp[:, union],
-                               union[comp[:, :, None], comp[:, None, :]]))
-    right = bool(np.array_equal(comp[union],
-                                union[comp[:, None, :], comp[None, :, :]]))
+    associative, left, right = _triple_laws(comp, union)
 
     images = _image_array(members, len(space))
     total = np.bitwise_or.reduce(images, axis=0)

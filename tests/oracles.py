@@ -91,6 +91,26 @@ def brute_members(leq: np.ndarray, c_map) -> set[tuple[frozenset[int], ...]]:
     }
 
 
+def brute_triple_laws(comp, union) -> tuple[bool, bool, bool]:
+    """Associativity, left and right distributivity of index tables.
+
+    ``comp[i][j]`` indexes f_i o f_j and ``union[i][j]`` f_i u f_j; every
+    triple (i, j, k) is compared: (ij)k = i(jk), i(j u k) = ij u ik and
+    (i u j)k = ik u jk.
+    """
+    comp = [[int(x) for x in row] for row in comp]
+    union = [[int(x) for x in row] for row in union]
+    associative = left = right = True
+    for i, ci in enumerate(comp):
+        for j, cj in enumerate(comp):
+            cij, uij = ci[j], union[i][j]
+            for k in range(len(comp)):
+                associative &= comp[cij][k] == ci[cj[k]]
+                left &= ci[union[j][k]] == union[cij][ci[k]]
+                right &= comp[uij][k] == union[comp[i][k]][cj[k]]
+    return associative, left, right
+
+
 def kron_state(tv) -> np.ndarray:
     """The compound state vector assembled directly in the product space."""
     d1 = tv.left_basis.shape[0]

@@ -102,6 +102,11 @@ def test_lattice_sasaki(files, capsys):
     assert capsys.readouterr().out.strip() == "a"
 
 
+def test_lattice_sasaki_unknown_label_is_a_usage_error(capsys):
+    assert main(["lattice", "sasaki", str(DATA / "mo2.json"), "a", "zz"]) == 2
+    assert capsys.readouterr().err == "error: no element labelled 'zz'\n"
+
+
 def test_lattice_sasaki_without_ortho_is_a_usage_error(capsys):
     assert main(["lattice", "sasaki", str(DATA / "chain2.json"), "0", "1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -313,6 +318,18 @@ def test_convert_round_trip(files, tmp_path, capsys):
                  "--to", "matrix-json"]) == 0
     again = json.loads(open(out, encoding="utf-8").read())
     assert again["re"] == data["re"]
+
+
+def test_convert_prints_its_result_whatever_the_output_flags(capsys):
+    # without an output file the conversion is the result: --quiet and
+    # --json leave it as it is
+    argv = [*_TV_TO_MATRIX, str(DATA / "anticorrelated-pair.json")]
+    outputs = []
+    for flags in ([], ["--quiet"], ["--json"]):
+        assert main([*flags, *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert json.loads(outputs[0])["rows"] == 2
+    assert outputs == [outputs[0]] * 3
 
 
 def test_quiet_suppresses_text(files, capsys):

@@ -26,7 +26,8 @@ from compoundness.quantale import (
     transition_tables,
     union_join,
 )
-from oracles import brute_members
+from compoundness.quantale import _row_blocks, _triple_laws
+from oracles import brute_members, brute_triple_laws
 
 CHAIN2 = chain(2)
 CHAIN3 = chain(3)
@@ -147,6 +148,34 @@ def test_distributivity_exhaustive_on_three_states():
     assert np.array_equal(comp[comp], comp[:, comp])
 
 
+@pytest.mark.parametrize("table", ["comp", "union"])
+@pytest.mark.parametrize("corner", [(0, 0), (0, -1), (-1, 0), (-1, -1)])
+def test_triple_laws_find_one_corrupted_entry_in_the_first_and_last_blocks(table, corner):
+    # 80 members make eight blocks; the corners sit in the first and last ones
+    space = ProperStateSpace(("p", "q", "r"), CHAIN2, (0, 1, 1))
+    tables = dict(zip(("comp", "union"), transition_tables(enumerate_members(space))))
+    m = len(tables["comp"])
+    assert m >= 80 and len(_row_blocks(m)) > 2
+    tables[table][corner] = (tables[table][corner] + 1) % m
+    laws = _triple_laws(tables["comp"], tables["union"])
+    assert laws == brute_triple_laws(tables["comp"], tables["union"])
+    assert not all(laws)
+
+
+def test_quantale_laws_check_in_quadratic_memory():
+    # all-triples arrays would take 37 MiB here; row blocks keep it to a few
+    space = ProperStateSpace(("p", "q", "r"), chain(4), (1, 2, 3))
+    members = enumerate_members(space)
+    assert len(members) == 198
+    tracemalloc.start()
+    try:
+        assert check_quantale_laws(space, members).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_transition_tables_reject_lists_not_closed_under_products():
     space = two_state_space()
     swap = TransitionMap.from_images(space, [["q"], ["p"]])
@@ -176,6 +205,7 @@ def test_members_and_tables_agree_with_the_set_level_oracle(make_space):
                 frozenset().union(*(f[t] for t in g_s)) for g_s in g
             )
             assert as_sets[union[i, j]] == tuple(a | b for a, b in zip(f, g))
+    assert _triple_laws(comp, union) == brute_triple_laws(comp, union) == (True, True, True)
 
 
 def test_composition_distributes_over_sampled_arbitrary_unions():
@@ -230,6 +260,23 @@ def test_propagation_needs_join_generating_properties():
     space = ProperStateSpace(("p",), lantern, (lantern.index("a"),))
     with pytest.raises(NotJoinPreserving):
         property_propagation(identity_transition(space))
+
+
+def test_sample_raises_for_its_first_bad_member():
+    # {a} does not join-generate MO2: the identity propagates to a table
+    # that is not join-preserving; split_pq sends the equal-property {p}
+    # and {q} to subsets of different properties
+    lantern = mo(2).base
+    space = ProperStateSpace(("p", "q"), lantern, (lantern.index("a"),) * 2)
+    ident = identity_transition(space)
+    split_pq = TransitionMap.from_images(space, [["p"], []])
+    with pytest.raises(NotJoinPreserving) as excinfo:
+        epimorphism_check(space, [ident, split_pq, ident])
+    assert str(excinfo.value) == "table (0, 1, 0, 0, 0, 1) does not preserve joins"
+    with pytest.raises(IllDefined) as excinfo:
+        epimorphism_check(space, [split_pq, ident, split_pq])
+    assert str(excinfo.value) == "propagation is not well defined on equal-property subsets"
+    assert excinfo.value.witness == (("p",), ("q",))
 
 
 def test_propagation_of_top_dominates_all_propagations():
