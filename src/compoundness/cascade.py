@@ -11,7 +11,7 @@ explicit Kronecker construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,6 +81,12 @@ def run_cascade(op: CompoundOperator, left_atom: Subspace, right_atom: Subspace,
     state, induce the image of the collapsed carrier on the second side,
     update the second state projectively, then measure ``right_atom``.
     An orthogonal outcome terminates the run with joint probability zero.
+
+    The head of the run (the first measurement and the induced update)
+    depends only on the operator, the order and the first atom. ``op``
+    keeps its last head, so consecutive runs that share the order and the
+    first atom (one row of an outcome grid) compute it once; only the
+    final measurement runs per pair. One head per operator is kept.
     """
     if op.is_zero():
         raise ZeroOperator("cannot run a cascade from the zero operator")
@@ -90,25 +96,42 @@ def run_cascade(op: CompoundOperator, left_atom: Subspace, right_atom: Subspace,
         raise DimensionMismatch(
             f"atoms must live in C^{op.dim_in} and C^{op.dim_out}"
         )
-    quad = op.plan
-    left, right = (1, quad.rho1, left_atom), (2, quad.rho2, right_atom)
     if order == LEFT_FIRST:
-        (side1, rho1, atom1), (side2, rho2, atom2), bridge = left, right, quad.f12
+        first, second = left_atom, right_atom
     elif order == RIGHT_FIRST:
-        (side1, rho1, atom1), (side2, rho2, atom2), bridge = right, left, quad.f21
+        first, second = right_atom, left_atom
     else:
         raise ValueError(f"order must be {LEFT_FIRST!r} or {RIGHT_FIRST!r}")
 
-    measured = _step(side1, MEASURE, atom1, rho1, carrier(rho1))
-    if measured.post_state is None:
-        return CascadeTrace((measured,), 0.0)
-    induced = _step(side2, INDUCE, induced_map(bridge)(measured.carrier_post),
-                    rho2, carrier(rho2))
-    if induced.post_state is None:
-        return CascadeTrace((measured, induced), 0.0)
-    final = _step(side2, MEASURE, atom2, induced.post_state, induced.carrier_post)
+    head = _head(op, order, first)
+    measured = replace(head[0], measured_property=first)
+    if head[-1].post_state is None:
+        return CascadeTrace((measured, *head[1:]), 0.0)
+    induced = head[1]
+    final = _step(induced.side, MEASURE, second, induced.post_state, induced.carrier_post)
     return CascadeTrace((measured, induced, final),
                         measured.probability * induced.probability * final.probability)
+
+
+def _head(op: CompoundOperator, order: str, atom: Subspace) -> tuple[CascadeStep, ...]:
+    """The first measurement of ``atom`` and, unless it is orthogonal, the
+    induced update: kept on ``op`` for the next run with the same key."""
+    key = (order, atom.tol, atom.frame.tobytes())
+    memo = vars(op).get("_cascade_head")
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    quad = op.plan
+    if order == LEFT_FIRST:
+        (side1, rho1), (side2, rho2), bridge = (1, quad.rho1), (2, quad.rho2), quad.f12
+    else:
+        (side1, rho1), (side2, rho2), bridge = (2, quad.rho2), (1, quad.rho1), quad.f21
+    measured = _step(side1, MEASURE, atom, rho1, carrier(rho1))
+    head: tuple[CascadeStep, ...] = (measured,)
+    if measured.post_state is not None:
+        head += (_step(side2, INDUCE, induced_map(bridge)(measured.carrier_post),
+                       rho2, carrier(rho2)),)
+    vars(op)["_cascade_head"] = (key, head)  # as functools.cached_property stores on frozen objects
+    return head
 
 
 def born_probability(tv: TensorVector, psi, phi) -> float:
@@ -116,7 +139,9 @@ def born_probability(tv: TensorVector, psi, phi) -> float:
 
     |<psi x phi, sum_i c_i psi_i x phi_i>|^2 normalized by the squared
     norms of the outcome vectors and of the compound state. Built with an
-    explicit Kronecker product, independent of the cascade machinery.
+    explicit Kronecker product, independent of the cascade machinery. The
+    compound state sum_i c_i psi_i x phi_i is built once per tensor vector
+    and cached on it (one d1*d2 vector); each call builds only psi x phi.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
@@ -124,9 +149,7 @@ def born_probability(tv: TensorVector, psi, phi) -> float:
         raise ZeroVector("measurement outcomes must be nonzero vectors")
     if psi.shape[0] != tv.left_basis.shape[0] or phi.shape[0] != tv.right_basis.shape[0]:
         raise DimensionMismatch("outcome vectors do not match the state's spaces")
-    state = np.zeros(psi.shape[0] * phi.shape[0], dtype=complex)
-    for i in range(tv.terms):
-        state += tv.coefficients[i] * np.kron(tv.left_basis[:, i], tv.right_basis[:, i])
+    state = tv._state
     norm2 = float(np.vdot(state, state).real)
     if norm2 == 0.0:
         raise ZeroOperator("the compound state has zero norm")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, UnknownElement
 from .galois import JoinMap
 from .lattice import FiniteLattice, OrthoLattice, attach_ortho, build_lattice
 from .operators import ANTILINEAR, LINEAR, CompoundOperator, TensorVector, from_tensor, schmidt_tensor
@@ -42,12 +42,13 @@ def _require(obj: dict, key: str, where: str):
 
 @contextmanager
 def _building(what: str):
-    """Report a ValueError or TypeError raised while building ``what`` from
-    file data as a ParseError (the library's constructors raise ValueError).
+    """Report a ValueError, TypeError or UnknownElement raised while building
+    ``what`` from file data as a ParseError (the library's constructors raise
+    ValueError; an element index out of range raises UnknownElement).
     Decorates the parsers."""
     try:
         yield
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, UnknownElement) as exc:
         raise ParseError(f"{what}: {exc}") from None
 
 

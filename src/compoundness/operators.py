@@ -31,7 +31,7 @@ from .errors import (
     NonFinite,
     ZeroOperator,
 )
-from .hilbert import DEFAULT_TOL, Subspace, _as_complex_matrix, _owned_matrix, span
+from .hilbert import DEFAULT_TOL, Subspace, _owned_matrix, span
 
 LINEAR = "linear"
 ANTILINEAR = "antilinear"
@@ -41,7 +41,9 @@ ANTILINEAR = "antilinear"
 class CompoundOperator:
     """A linear or anti-linear map between two finite-dimensional spaces.
 
-    Holds a private, read-only copy of the matrix, so :attr:`plan` can be kept.
+    Holds a private, read-only copy of the matrix, so values derived from it
+    can be kept: :attr:`plan` and the last head of
+    :func:`~compoundness.cascade.run_cascade`.
     """
 
     matrix: np.ndarray
@@ -127,14 +129,19 @@ def induced_map(op: CompoundOperator) -> Callable[[Subspace], Subspace]:
 
 @dataclass(frozen=True, eq=False)
 class TensorVector:
-    """Coefficients over a pair of orthonormal bases, one per side."""
+    """Coefficients over a pair of orthonormal bases, one per side.
+
+    Holds private, read-only copies of the three arrays, so the compound
+    vector :attr:`_state` can be kept.
+    """
 
     coefficients: np.ndarray
     left_basis: np.ndarray
     right_basis: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=complex).reshape(-1)
+        c = np.array(self.coefficients, dtype=complex).reshape(-1)
+        c.setflags(write=False)
         left = _check_basis(self.left_basis, "left")
         right = _check_basis(self.right_basis, "right")
         if left.shape[1] != c.shape[0] or right.shape[1] != c.shape[0]:
@@ -152,6 +159,15 @@ class TensorVector:
     def terms(self) -> int:
         return self.coefficients.shape[0]
 
+    @cached_property
+    def _state(self) -> np.ndarray:
+        """sum_i c_i psi_i x phi_i in C^(d1 d2), built once by explicit Kronecker products."""
+        state = np.zeros(self.left_basis.shape[0] * self.right_basis.shape[0], dtype=complex)
+        for i in range(self.terms):
+            state += self.coefficients[i] * np.kron(self.left_basis[:, i], self.right_basis[:, i])
+        state.setflags(write=False)
+        return state
+
     def __repr__(self) -> str:
         return (
             f"TensorVector({self.terms} terms, "
@@ -160,7 +176,7 @@ class TensorVector:
 
 
 def _check_basis(basis, name: str) -> np.ndarray:
-    arr = _as_complex_matrix(basis)
+    arr = _owned_matrix(basis)
     gram = arr.conj().T @ arr
     if gram.shape[0] and np.abs(gram - np.eye(gram.shape[0])).max() > 1e-9:
         raise BadBasis(f"{name} basis columns are not orthonormal")

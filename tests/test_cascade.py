@@ -23,6 +23,7 @@ from compoundness.errors import BadShape, NotADensity, ZeroOperator, ZeroVector
 from compoundness.hilbert import Subspace, ortho_s, ray, span
 from compoundness.operators import (
     ANTILINEAR,
+    LINEAR,
     CompoundOperator,
     TensorVector,
     from_tensor,
@@ -234,25 +235,109 @@ def test_cascades_of_one_operator_build_its_quadruple_once(monkeypatch):
     assert calls == [op]
 
 
+def _assert_same_trace(a, b):
+    """Every field of two traces equal, bit for bit."""
+    assert a.joint_probability == b.joint_probability
+    assert len(a.steps) == len(b.steps)
+    for x, y in zip(a.steps, b.steps):
+        assert (x.side, x.kind, x.probability) == (y.side, y.kind, y.probability)
+        for sub in ("measured_property", "carrier_pre", "carrier_post"):
+            assert getattr(x, sub).tol == getattr(y, sub).tol
+            assert np.array_equal(getattr(x, sub).frame, getattr(y, sub).frame)
+        assert np.array_equal(x.pre_state.matrix, y.pre_state.matrix)
+        assert (x.post_state is None) == (y.post_state is None)
+        if x.post_state is not None:
+            assert np.array_equal(x.post_state.matrix, y.post_state.matrix)
+
+
+def _fresh(op):
+    return CompoundOperator(op.matrix.copy(), op.linearity)
+
+
 def test_reused_operator_gives_the_traces_of_fresh_ones():
     rng = np.random.default_rng(31)
     for d1, d2, terms in ((2, 3, 1), (3, 3, 2), (4, 2, 2)):
         op = from_tensor(random_tensor_vector(rng, d1, d2, terms), ANTILINEAR)
         basis1, basis2 = random_unitary(rng, d1), random_unitary(rng, d2)
         reused = _all_pairs(lambda: op, basis1, basis2)
-        fresh = _all_pairs(lambda: CompoundOperator(op.matrix.copy(), op.linearity),
-                           basis1, basis2)
+        fresh = _all_pairs(lambda: _fresh(op), basis1, basis2)
         for a, b in zip(reused, fresh):
-            assert a.joint_probability == b.joint_probability
-            assert len(a.steps) == len(b.steps)
-            for x, y in zip(a.steps, b.steps):
-                assert x.probability == y.probability
-                for sub in ("measured_property", "carrier_pre", "carrier_post"):
-                    assert np.array_equal(getattr(x, sub).frame, getattr(y, sub).frame)
-                assert np.array_equal(x.pre_state.matrix, y.pre_state.matrix)
-                assert (x.post_state is None) == (y.post_state is None)
-                if x.post_state is not None:
-                    assert np.array_equal(x.post_state.matrix, y.post_state.matrix)
+            _assert_same_trace(a, b)
+
+
+def _count_updates(monkeypatch):
+    """Count the projective updates the cascade makes from here on."""
+    import compoundness.cascade as cascade
+
+    calls = []
+    original = cascade._update
+    monkeypatch.setattr(cascade, "_update",
+                        lambda rho, a: calls.append(a) or original(rho, a))
+    return calls
+
+
+def test_interleaved_orders_and_first_atoms_give_the_traces_of_fresh_operators():
+    # One basis for both sides of a square operator, so a left atom and a
+    # right atom can have the same frame: only the order tells their heads apart.
+    rng = np.random.default_rng(32)
+    for d1, d2, terms, linearity in ((3, 3, 2, ANTILINEAR), (3, 3, 3, LINEAR),
+                                     (2, 4, 2, ANTILINEAR)):
+        op = from_tensor(random_tensor_vector(rng, d1, d2, terms), linearity)
+        basis = random_unitary(rng, max(d1, d2))
+        for i, j in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 1), (0, 0)):
+            for order in (LEFT_FIRST, RIGHT_FIRST, LEFT_FIRST):
+                left, right = ray(basis[:d1, i]), ray(basis[:d2, j])
+                trace = run_cascade(op, left, right, order=order)
+                _assert_same_trace(trace, run_cascade(_fresh(op), left, right, order=order))
+                # the first step names the caller's atom, not the one the head was made with
+                first = left if order == LEFT_FIRST else right
+                assert trace.steps[0].measured_property is first
+
+
+def test_a_head_cut_short_by_an_orthogonal_outcome_is_reused(monkeypatch):
+    rng = np.random.default_rng(33)
+    tv = random_tensor_vector(rng, 3, 3, 2)
+    op = from_tensor(tv, ANTILINEAR)
+    outside = np.linalg.eigh(op.plan.rho1.matrix)[1][:, 0]  # rank 2 of 3: eigenvalue 0
+    basis2 = random_unitary(rng, 3)
+    pairs = [(ray(outside), ray(basis2[:, j])) for j in range(3)]
+    pairs.append((ray(tv.left_basis[:, 0]), ray(basis2[:, 0])))
+    calls = _count_updates(monkeypatch)
+    traces = [run_cascade(op, left, right) for left, right in pairs]
+    assert len(calls) == 1 + 3  # one cut head for three pairs, then head and tail
+    assert [len(t.steps) for t in traces] == [1, 1, 1, 3]
+    for (left, right), trace in zip(pairs, traces):
+        assert trace.steps[0].measured_property is left
+        _assert_same_trace(trace, run_cascade(_fresh(op), left, right))
+    assert traces[0].joint_probability == 0.0
+
+
+def test_equal_frames_with_another_tolerance_do_not_share_a_head(monkeypatch):
+    rng = np.random.default_rng(34)
+    op = from_tensor(random_tensor_vector(rng, 3, 2, 2), ANTILINEAR)
+    left, right = ray(random_state_vector(rng, 3)), ray(random_state_vector(rng, 2))
+    loose = Subspace(left.frame, tol=1e-6)
+    calls = _count_updates(monkeypatch)
+    run_cascade(op, left, right)
+    assert len(calls) == 3
+    trace = run_cascade(op, loose, right)
+    assert len(calls) == 6
+    assert trace.steps[0].measured_property is loose
+    run_cascade(op, loose, right)
+    assert len(calls) == 7
+
+
+def test_a_sweep_makes_one_head_per_first_atom_and_one_tail_per_pair(monkeypatch):
+    rng = np.random.default_rng(35)
+    d1, d2 = 3, 4
+    op = from_tensor(random_tensor_vector(rng, d1, d2, 3), ANTILINEAR)
+    basis1, basis2 = random_unitary(rng, d1), random_unitary(rng, d2)
+    calls = _count_updates(monkeypatch)
+    traces = [run_cascade(op, ray(basis1[:, i]), ray(basis2[:, j]))
+              for i in range(d1) for j in range(d2)]
+    assert all(len(t.steps) == 3 for t in traces)
+    # a head is two updates (measure, induce); a tail is one (the final measurement)
+    assert len(calls) == 2 * d1 + d1 * d2
 
 
 # -- born oracle -------------------------------------------------------------------
@@ -285,6 +370,40 @@ def test_born_rejects_zero_vectors():
     tv = random_tensor_vector(np.random.default_rng(6), 2, 2, 1)
     with pytest.raises(ZeroVector):
         born_probability(tv, np.zeros(2), E1)
+
+
+def test_tensor_vector_keeps_private_copies_of_its_arrays():
+    c = np.array([1 / np.sqrt(2), -1 / np.sqrt(2)], dtype=complex)
+    left, right = IDENTITY2.copy(), IDENTITY2.copy()
+    tv = TensorVector(c, left, right)
+    c[0] = 0
+    left[:, 0] = E2
+    right[:, 0] = E2
+    assert born_probability(tv, E1, E1) == pytest.approx(0.5, abs=1e-12)
+    assert np.array_equal(tv.left_basis, IDENTITY2)
+    for arr in (tv.coefficients, tv.left_basis, tv.right_basis, tv._state):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_born_state_is_built_once_and_gives_the_per_call_construction_bits():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        d1, d2 = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        tv = random_tensor_vector(rng, d1, d2, int(rng.integers(1, min(d1, d2) + 1)))
+        assert np.abs(tv._state - kron_state(tv)).max() <= 1e-12
+        assert tv._state is tv._state
+        for _ in range(3):
+            psi = random_state_vector(rng, d1)
+            phi = random_state_vector(rng, d2)
+            # the state rebuilt on every call, as before it was cached
+            state = kron_state(tv)
+            overlap = np.vdot(np.kron(psi, phi), state)
+            value = float(abs(overlap) ** 2) / (
+                float(np.vdot(psi, psi).real) * float(np.vdot(phi, phi).real)
+                * float(np.vdot(state, state).real)
+            )
+            assert born_probability(tv, psi, phi) == min(max(value, 0.0), 1.0)
 
 
 def test_born_matches_direct_kronecker_computation():

@@ -79,11 +79,16 @@ _TV_TO_MATRIX = ["convert", "--from", "tv-json", "--to", "matrix-json"]
                      "left_basis": _MATRIX, "right_basis": _MATRIX}),
     (["quantale", "check"], {"states": [1, 2], "lattice": _CHAIN2, "c_map": [1, 1]}),
     (["quantale", "check"], {"states": ["p", "q"], "lattice": _CHAIN2, "c_map": ["1", "1"]}),
+    (["quantale", "check"],
+     dict(json.loads((DATA / "three-state-space.json").read_text()), c_map=[1, 1, 7])),
+    (["lattice", "check"], dict(_CHAIN2, ortho=[1, 9])),
+    (["lattice", "check"], {"elements": ["0", "1", "2"], "leq": [[0, 1], [1, 4]]}),
 ], ids=["duplicate-elements", "short-ortho", "duplicate-states", "rows-string",
         "rows-null", "ragged-re", "rows-float-cols-bool", "rows-integral-float", "cols-bool",
         "lattice-not-object", "elements-not-strings", "leq-not-pairs", "ortho-not-integers",
         "table-not-integers", "coefficients-unequal", "states-not-strings",
-        "c-map-not-integers"])
+        "c-map-not-integers", "c-map-index-out-of-range", "ortho-index-out-of-range",
+        "leq-index-out-of-range"])
 def test_malformed_file_is_a_parse_error(files, capsys, command, payload):
     path = files("bad.json", payload)
     assert main([*command, path]) == 2
