@@ -11,7 +11,7 @@ separation map on top and the constant-bottom (absurd) map at the bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     NotMeetPreserving,
     TooLarge,
 )
-from .lattice import FiniteLattice, lattice_from_order
+from .lattice import FiniteLattice, _table_by_key, lattice_from_order
 
 ENUMERATION_GUARD = 8
 # Q's order, meet and join tables take O(|Q|^2) memory: 3,432 maps (chain(8)
@@ -34,15 +34,15 @@ def is_join_preserving(table: Sequence[int], source: FiniteLattice,
                        target: FiniteLattice) -> bool:
     """Whether ``table`` sends the bottom to the bottom and preserves all
     binary joins (sufficient for all joins between finite lattices)."""
-    n = len(source)
+    n, m = len(source), len(target)
     if len(table) != n:
         return False
     for v in table:
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < len(target):
+        if not isinstance(v, (int, np.integer)) or not 0 <= v < m:
             return False
     if table[source.bottom] != target.bottom:
         return False
-    return _preserves(table, source.join_table, target.join_table)
+    return _preserves(table, source._join_rows, target._join_rows)
 
 
 def is_meet_preserving(table: Sequence[int], source: FiniteLattice,
@@ -51,9 +51,8 @@ def is_meet_preserving(table: Sequence[int], source: FiniteLattice,
     return is_join_preserving(table, source.dual, target.dual)
 
 
-def _preserves(table: Sequence[int], op1: np.ndarray, op2: np.ndarray) -> bool:
-    """Whether table[op1[x, y]] == op2[table[x], table[y]] for all x <= y."""
-    op1, op2 = op1.tolist(), op2.tolist()  # lists index faster than numpy scalars
+def _preserves(table: Sequence[int], op1: list[list[int]], op2: list[list[int]]) -> bool:
+    """Whether table[op1[x][y]] == op2[table[x]][table[y]] for all x <= y."""
     for x, row in enumerate(op1):
         image = op2[table[x]]
         for y in range(x, len(row)):
@@ -113,11 +112,14 @@ def _upper_adjoint(table: Sequence[int], source: FiniteLattice,
                    target: FiniteLattice) -> tuple[int, ...]:
     """For each b of ``target``, the join in ``source`` of every a whose
     image under the join-preserving ``table`` lies below b."""
-    leq, join = target.leq.tolist(), source.join_table.tolist()
+    leq, join = target._leq_rows, source._join_rows
     out = []
     for b in range(len(target)):
-        causes = [a for a, fa in enumerate(table) if leq[fa][b]]
-        out.append(reduce(lambda x, y: join[x][y], causes, source.bottom))
+        cause = source.bottom
+        for a, fa in enumerate(table):
+            if leq[fa][b]:
+                cause = join[cause][a]
+        out.append(cause)
     return tuple(out)
 
 
@@ -240,9 +242,12 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
     Candidates are generated by choosing images for the join-irreducible
     elements only and extending by joins, all at once as one integer array;
     the distinct ones are filtered by the full preservation check (bottom
-    and every binary join) in one array comparison. The lattice of maps
-    takes O(|Q|^2) memory. Guarded to ``ENUMERATION_GUARD`` elements per
-    lattice, and to ``Q_GUARD`` maps before any table of Q is built.
+    and every binary join) in one array comparison. Q's join is pointwise:
+    each pointwise join must be found among the maps, which with the absurd
+    map as bottom shows that Q is a lattice; its meets then follow from its
+    join-irreducibles. The lattice of maps takes O(|Q|^2) memory. Guarded
+    to ``ENUMERATION_GUARD`` elements per lattice, and to ``Q_GUARD`` maps
+    before any table of Q is built.
     """
     if len(source) > ENUMERATION_GUARD or len(target) > ENUMERATION_GUARD:
         raise TooLarge(
@@ -277,7 +282,11 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
 
     order = target.leq[arr[:, None, :], arr[None, :, :]].all(axis=2)
     labels = [",".join(str(v) for v in t) for t in ordered]
-    lat = lattice_from_order(labels, order)
+    # a map's key is its table read as a base-|L2| number
+    radix = len(target) ** np.arange(len(source) - 1, -1, -1)
+    join_table = _table_by_key(arr @ radix, lambda r, c: join[arr[r, None], arr[c]] @ radix,
+                               labels, "join")
+    lat = lattice_from_order(labels, order, join_table)
     q = QLattice(lattice=lat, maps=maps)
     assert q.top_map.table == separation_state(source, target).table
     assert q.bottom_map.table == absurd_state(source, target).table

@@ -99,6 +99,9 @@ def parse_join_map(obj) -> JoinMap:
     table = _require(obj, "table", "map")
     if not isinstance(table, list) or not all(isinstance(v, int) for v in table):
         raise ParseError("map: 'table' must be a list of target indices")
+    if len(table) != len(source) or not all(0 <= v < len(target) for v in table):
+        raise ParseError(f"map: 'table' must give one of the {len(target)} target indices "
+                         f"for each of the {len(source)} source elements")
     return JoinMap(source=source, target=target, table=tuple(table))
 
 

@@ -3,9 +3,9 @@
 Elements are identified by integer position; textual labels are carried
 for display only. The order relation and the meet/join operations are
 dense tables validated exhaustively at construction time, after which a
-lattice is immutable and safe to share between threads. The meet and join
-tables are built one row at a time over bit-mask down-sets, so building an
-n-element lattice needs O(n^2) memory.
+lattice is immutable and safe to share between threads. Joins and meets
+are looked up by bit-mask keys (up-sets, and the join-irreducibles below)
+in blocks of rows, so building an n-element lattice needs O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -68,6 +68,14 @@ class FiniteLattice:
             bottom=self.top,
             top=self.bottom,
         )
+
+    @cached_property
+    def _leq_rows(self) -> list[list[bool]]:
+        return self.leq.tolist()  # lists index faster than numpy scalars
+
+    @cached_property
+    def _join_rows(self) -> list[list[int]]:
+        return self.join_table.tolist()
 
     def label(self, x: int) -> str:
         self.check_element(x)
@@ -138,44 +146,59 @@ class FiniteLattice:
         return len(self) == len(other) and bool(np.array_equal(self.leq, other.leq))
 
 
-def _bitsets(rows: np.ndarray) -> list[int]:
-    """Each row as an int whose bit j is set iff the row holds at column j."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+_BLOCK_ENTRIES = 1 << 17
 
 
-def _glb_table(leq: np.ndarray, labels: Sequence[str], what: str) -> np.ndarray:
-    """Greatest lower bounds of all pairs of a validated order, row by row.
+def _table_by_key(keys: np.ndarray, pair_keys, labels: Sequence[str], what: str,
+                  width: int = 1) -> np.ndarray:
+    """The table of a commutative operation on elements with distinct keys.
 
-    Sorting by down-set size gives a linear extension, in which the greatest
-    lower bound of x and y, if any, is their last common lower bound. On the
-    transposed order the same function gives the least upper bounds.
+    ``pair_keys(rows, cols)`` gives the keys of the results on a block of
+    rows, from the block's first column on; a key takes ``width`` entries.
+    Each result is looked up among the sorted keys and must match exactly,
+    else NotALattice.
     """
-    n = leq.shape[0]
-    ext = np.argsort(leq.sum(axis=0), kind="stable")
-    # down[x] has bit r set iff the r-th element of the extension is <= x
-    down = _bitsets(leq[ext].T)
-    ext = ext.tolist()
-    table = [[0] * n for _ in range(n)]
-    for x, down_x in enumerate(down):
-        row = table[x]
-        for y in range(x, n):
-            common = down_x & down[y]
-            z = ext[common.bit_length() - 1]
-            if not common or common & ~down[z]:
-                raise NotALattice(
-                    f"elements {labels[x]!r} and {labels[y]!r} have no {what}"
-                )
-            row[y] = table[y][x] = z
-    return np.array(table, dtype=np.intp)
+    n = len(keys)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    table = np.empty((n, n), dtype=np.intp)
+    step = max(1, _BLOCK_ENTRIES // (n * width))
+    for lo in range(0, n, step):
+        want = pair_keys(slice(lo, lo + step), slice(lo, None))
+        hit = order[np.minimum(np.searchsorted(ranked, want), n - 1)]
+        miss = keys[hit] != want
+        if miss.any():
+            x, y = np.argwhere(miss)[0] + lo
+            raise NotALattice(f"elements {labels[x]!r} and {labels[y]!r} have no {what}")
+        table[lo:lo + step, lo:] = hit
+        table[lo:, lo:lo + step] = hit.T
+    return table
 
 
-def lattice_from_order(elements: Sequence[str], leq: np.ndarray) -> FiniteLattice:
+def _intersection_table(bits: np.ndarray, labels: Sequence[str], what: str) -> np.ndarray:
+    """For all x and y, the element z with bits[z] = bits[x] & bits[y].
+
+    Each row of bits is packed into 64-bit words: one word is an integer
+    key, several compare as one opaque byte string.
+    """
+    padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), dtype=bool)
+    padded[:, :bits.shape[1]] = bits
+    words = np.packbits(padded, axis=1).view(np.uint64)
+    as_key = (lambda w: w[..., 0]) if words.shape[1] == 1 else (
+        lambda w: np.ascontiguousarray(w).view(f"V{words.shape[1] * 8}")[..., 0])
+    return _table_by_key(as_key(words), lambda r, c: as_key(words[r, None] & words[c]),
+                         labels, what, words.shape[1])
+
+
+def lattice_from_order(elements: Sequence[str], leq: np.ndarray,
+                       join_table: np.ndarray | None = None) -> FiniteLattice:
     """Validate an explicit order matrix and build the lattice over it.
 
     The matrix is checked for reflexivity, antisymmetry, and transitivity
-    (NotAPoset on failure), then for existence of all binary meets and
-    joins (NotALattice) and of the two bounds (NoBounds).
+    (NotAPoset on failure), then for existence of all binary joins and
+    meets (NotALattice); the meets follow from the join-irreducibles. A
+    caller that has validated the least upper bounds may pass them as
+    ``join_table``.
     """
     labels = tuple(str(e) for e in elements)
     if not labels:
@@ -195,33 +218,33 @@ def lattice_from_order(elements: Sequence[str], leq: np.ndarray) -> FiniteLattic
     if sym.any():
         x, y = map(int, np.argwhere(sym)[0])
         raise NotAPoset(f"not antisymmetric: {labels[x]!r} and {labels[y]!r} form a cycle")
-    # x reaches y in two steps iff y is above something above x
-    up = _bitsets(rel)
-    reach = [0] * n
-    for x, z in np.argwhere(rel).tolist():
-        reach[x] |= up[z]
-    for x in range(n):
-        gap = reach[x] & ~up[x]
-        if gap:
-            y = (gap & -gap).bit_length() - 1
-            raise NotAPoset(
-                f"not transitive: {labels[x]!r} reaches {labels[y]!r} in two steps "
-                "but the pair is not related"
-            )
+    # x reaches y in two steps iff some z has x <= z <= y (exact float32 counts)
+    steps = rel.astype(np.float32)
+    gap = np.argwhere((steps @ steps > 0) & ~rel)
+    if gap.size:
+        x, y = gap[0]
+        raise NotAPoset(
+            f"not transitive: {labels[x]!r} reaches {labels[y]!r} in two steps "
+            "but the pair is not related"
+        )
 
-    meet_table = _glb_table(rel, labels, "meet")
-    join_table = _glb_table(rel.T, labels, "join")
-    bottoms = np.flatnonzero(rel.all(axis=1))
-    tops = np.flatnonzero(rel.all(axis=0))
-    if bottoms.size == 0 or tops.size == 0:
-        raise NoBounds("order has no bottom or top element")
+    # x v y is the element whose up-set is the intersection of theirs
+    if join_table is None:
+        join_table = _intersection_table(rel, labels, "join")
+    # z is join-reducible iff z = x v y with x != z != y. Each element is the
+    # join of the irreducibles below it (a bottom counts as one), so x /\ y is
+    # the element whose irreducibles below are those below both.
+    idx = np.arange(n)
+    irreducible = np.ones(n, dtype=bool)
+    irreducible[join_table[(join_table != idx[:, None]) & (join_table != idx)]] = False
+    meet_table = _intersection_table(rel[irreducible].T, labels, "meet")
     return FiniteLattice(
         elements=labels,
         leq=rel,
         meet_table=meet_table,
         join_table=join_table,
-        bottom=int(bottoms[0]),
-        top=int(tops[0]),
+        bottom=int(rel.all(axis=1).argmax()),
+        top=int(rel.all(axis=0).argmax()),
     )
 
 

@@ -249,6 +249,7 @@ def epimorphism_check(space: ProperStateSpace,
     Sample maps are read in ``space`` as by :func:`property_propagation`, so the
     first ill-defined or non-join-preserving one raises. Their composites and
     unions need no such check: C(T) = C(T') gives C(fgT) = C(fgT'), and C(fT u gT) = C(fT) v C(gT).
+    So the k^2 pair comparison is a cross-check that cannot fail once that validation passes.
     """
     act = _act_table(_image_array(sample, len(space)))
     _propagations(space, act)  # validates every sample map

@@ -34,6 +34,13 @@ def brute_lub(leq: np.ndarray, xs: list[int]) -> int | None:
     return least[0]
 
 
+def brute_join_irreducibles(leq: np.ndarray) -> list[int]:
+    """Elements other than the bottom that are not the join of those strictly below."""
+    n = leq.shape[0]
+    return [z for z in range(n) if leq[:, z].sum() > 1
+            and brute_lub(leq, [w for w in range(n) if leq[w, z] and w != z]) != z]
+
+
 def brute_join_maps(source, target) -> set[tuple[int, ...]]:
     """Every join-preserving table, by filtering all |L2|^|L1| candidates."""
     n1, n2 = len(source), len(target)

@@ -83,12 +83,14 @@ _TV_TO_MATRIX = ["convert", "--from", "tv-json", "--to", "matrix-json"]
      dict(json.loads((DATA / "three-state-space.json").read_text()), c_map=[1, 1, 7])),
     (["lattice", "check"], dict(_CHAIN2, ortho=[1, 9])),
     (["lattice", "check"], {"elements": ["0", "1", "2"], "leq": [[0, 1], [1, 4]]}),
+    (["galois", "dual"], {"source": _CHAIN2, "target": _CHAIN2, "table": [0, 9]}),
+    (["galois", "dual"], {"source": _CHAIN2, "target": _CHAIN2, "table": [0, 1, 1]}),
 ], ids=["duplicate-elements", "short-ortho", "duplicate-states", "rows-string",
         "rows-null", "ragged-re", "rows-float-cols-bool", "rows-integral-float", "cols-bool",
         "lattice-not-object", "elements-not-strings", "leq-not-pairs", "ortho-not-integers",
         "table-not-integers", "coefficients-unequal", "states-not-strings",
         "c-map-not-integers", "c-map-index-out-of-range", "ortho-index-out-of-range",
-        "leq-index-out-of-range"])
+        "leq-index-out-of-range", "table-index-out-of-range", "table-wrong-length"])
 def test_malformed_file_is_a_parse_error(files, capsys, command, payload):
     path = files("bad.json", payload)
     assert main([*command, path]) == 2

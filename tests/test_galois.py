@@ -34,7 +34,13 @@ from compoundness.galois import (
     separation_state,
 )
 
-from oracles import brute_glb, brute_join_maps, brute_meet_maps
+from oracles import (
+    brute_glb,
+    brute_join_irreducibles,
+    brute_join_maps,
+    brute_lub,
+    brute_meet_maps,
+)
 
 B2 = boolean(2).base
 CHAIN2 = chain(2)
@@ -262,9 +268,16 @@ def test_enumeration_guard():
 
 
 def test_qlattice_bounds_and_pointwise_join_table():
+    for l1, l2 in itertools.product(standard_lattices().values(), repeat=2):
+        q = enumerate_Q(l1, l2)
+        assert q.top_map.table == separation_state(l1, l2).table
+        assert q.bottom_map.table == absurd_state(l1, l2).table
+        t = np.array([f.table for f in q.maps])
+        lub = np.array([[brute_lub(l2.leq, [a, b]) for b in range(len(l2))]
+                        for a in range(len(l2))])
+        # the map at join_table[i, j] is the pointwise join of maps i and j
+        assert np.array_equal(t[q.lattice.join_table], lub[t[:, None], t[None]])
     q = enumerate_Q(B2, B2)
-    assert q.top_map.table == separation_state(B2, B2).table
-    assert q.bottom_map.table == absurd_state(B2, B2).table
     for i, j in itertools.product(range(len(q)), repeat=2):
         joined = pointwise_join([q.maps[i], q.maps[j]])
         assert q.lattice.join2(i, j) == q.index_of(joined)
@@ -291,6 +304,21 @@ def test_qlattice_meet_table_matches_brute_force_on_the_pointwise_order():
         for i in range(len(q)):
             for j in range(i, len(q)):
                 assert q.lattice.meet_table[i, j] == brute_glb(order, [i, j])
+
+
+def test_large_qlattice_tables_match_brute_force_on_sampled_pairs():
+    # 1,080 maps with 384 join-irreducibles: meet keys of seven 64-bit words
+    mo3 = mo(3).base
+    q = enumerate_Q(mo3, MO2)
+    t = np.array([f.table for f in q.maps])
+    order = MO2.leq[t[:, None, :], t[None, :, :]].all(axis=2)
+    rng = np.random.default_rng(5)
+    for i, j in rng.integers(len(q), size=(2000, 2)).tolist():
+        assert q.lattice.meet_table[i, j] == brute_glb(order, [i, j])
+        assert q.lattice.join_table[i, j] == brute_lub(order, [i, j])
+    # more than 64 here too, so the exhaustive meet check above covers keys
+    # of several words
+    assert len(brute_join_irreducibles(enumerate_Q(MO2, MO2).lattice.leq)) > 64
 
 
 def test_q_lattice_build_stays_in_quadratic_memory():
