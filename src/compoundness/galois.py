@@ -22,11 +22,12 @@ from .errors import (
     NotMeetPreserving,
     TooLarge,
 )
-from .lattice import FiniteLattice, _table_by_key, lattice_from_order
+from .lattice import FiniteLattice, _lattice, _table_by_key
 
 ENUMERATION_GUARD = 8
-# Q's order, meet and join tables take O(|Q|^2) memory: 3,432 maps (chain(8)
-# to chain(8)) need about 0.5 GB, the 13,376 of mo(3) to mo(3) several GB.
+# Q's meet and join tables hold |Q|^2 intp entries each, its order |Q|^2 bytes:
+# chain(8) to chain(8) (3,432 maps) peaks at about 260 MB RSS, and the two
+# tables of mo(3) to mo(3) (13,376 maps) alone would take 2.9 GB.
 Q_GUARD = 4096
 
 
@@ -244,7 +245,8 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
     the distinct ones are filtered by the full preservation check (bottom
     and every binary join) in one array comparison. Q's join is pointwise:
     each pointwise join must be found among the maps, which with the absurd
-    map as bottom shows that Q is a lattice; its meets then follow from its
+    map as bottom shows that Q is a lattice. Its order is read off the join
+    table (f <= g iff f v g = g), and its meets follow from its
     join-irreducibles. The lattice of maps takes O(|Q|^2) memory. Guarded
     to ``ENUMERATION_GUARD`` elements per lattice, and to ``Q_GUARD`` maps
     before any table of Q is built.
@@ -280,13 +282,13 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
     ordered = [tuple(t) for t in arr.tolist()]
     maps = tuple(JoinMap(source=source, target=target, table=t) for t in ordered)
 
-    order = target.leq[arr[:, None, :], arr[None, :, :]].all(axis=2)
-    labels = [",".join(str(v) for v in t) for t in ordered]
+    labels = tuple(",".join(str(v) for v in t) for t in ordered)
     # a map's key is its table read as a base-|L2| number
     radix = len(target) ** np.arange(len(source) - 1, -1, -1)
     join_table = _table_by_key(arr @ radix, lambda r, c: join[arr[r, None], arr[c]] @ radix,
                                labels, "join")
-    lat = lattice_from_order(labels, order, join_table)
+    # f <= g iff f v g = g; distinct maps under a pointwise order form a poset
+    lat = _lattice(labels, join_table == np.arange(len(arr)), join_table)
     q = QLattice(lattice=lat, maps=maps)
     assert q.top_map.table == separation_state(source, target).table
     assert q.bottom_map.table == absurd_state(source, target).table

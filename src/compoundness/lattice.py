@@ -131,15 +131,11 @@ class FiniteLattice:
         return tuple(out)
 
     def join_irreducibles(self) -> tuple[int, ...]:
-        """Elements that are not the join of the elements strictly below."""
-        out = []
-        for x in range(len(self.elements)):
-            if x == self.bottom:
-                continue
-            strictly_below = [z for z in np.flatnonzero(self.leq[:, x]) if z != x]
-            if self.join(strictly_below) != x:
-                out.append(x)
-        return tuple(out)
+        """Elements other than the bottom that are not the join of the
+        elements strictly below."""
+        irreducible = _join_irreducible(self.join_table)
+        irreducible[self.bottom] = False
+        return tuple(np.flatnonzero(irreducible).tolist())
 
     def same_structure(self, other: "FiniteLattice") -> bool:
         """Whether two lattices have identical order tables (labels ignored)."""
@@ -190,15 +186,43 @@ def _intersection_table(bits: np.ndarray, labels: Sequence[str], what: str) -> n
                          labels, what, words.shape[1])
 
 
-def lattice_from_order(elements: Sequence[str], leq: np.ndarray,
-                       join_table: np.ndarray | None = None) -> FiniteLattice:
+def _join_irreducible(join_table: np.ndarray) -> np.ndarray:
+    """Mask of the elements z that are not x v y with x != z != y.
+
+    In a finite lattice these are the join-irreducibles and the bottom:
+    z is the join of the elements strictly below it iff two of its lower
+    covers join to it.
+    """
+    idx = np.arange(len(join_table))
+    irreducible = np.ones(len(join_table), dtype=bool)
+    irreducible[join_table[(join_table != idx[:, None]) & (join_table != idx)]] = False
+    return irreducible
+
+
+def _lattice(labels: tuple[str, ...], rel: np.ndarray, join_table: np.ndarray) -> FiniteLattice:
+    """The lattice on the partial order ``rel`` with the joins ``join_table``.
+
+    Each element is the join of the irreducibles below it (a bottom counts
+    as one), so x /\\ y is the element whose irreducibles below are those
+    below both; a miss raises NotALattice.
+    """
+    meet_table = _intersection_table(rel[_join_irreducible(join_table)].T, labels, "meet")
+    return FiniteLattice(
+        elements=labels,
+        leq=rel,
+        meet_table=meet_table,
+        join_table=join_table,
+        bottom=int(rel.all(axis=1).argmax()),
+        top=int(rel.all(axis=0).argmax()),
+    )
+
+
+def lattice_from_order(elements: Sequence[str], leq: np.ndarray) -> FiniteLattice:
     """Validate an explicit order matrix and build the lattice over it.
 
     The matrix is checked for reflexivity, antisymmetry, and transitivity
     (NotAPoset on failure), then for existence of all binary joins and
-    meets (NotALattice); the meets follow from the join-irreducibles. A
-    caller that has validated the least upper bounds may pass them as
-    ``join_table``.
+    meets (NotALattice); the meets follow from the join-irreducibles.
     """
     labels = tuple(str(e) for e in elements)
     if not labels:
@@ -229,23 +253,7 @@ def lattice_from_order(elements: Sequence[str], leq: np.ndarray,
         )
 
     # x v y is the element whose up-set is the intersection of theirs
-    if join_table is None:
-        join_table = _intersection_table(rel, labels, "join")
-    # z is join-reducible iff z = x v y with x != z != y. Each element is the
-    # join of the irreducibles below it (a bottom counts as one), so x /\ y is
-    # the element whose irreducibles below are those below both.
-    idx = np.arange(n)
-    irreducible = np.ones(n, dtype=bool)
-    irreducible[join_table[(join_table != idx[:, None]) & (join_table != idx)]] = False
-    meet_table = _intersection_table(rel[irreducible].T, labels, "meet")
-    return FiniteLattice(
-        elements=labels,
-        leq=rel,
-        meet_table=meet_table,
-        join_table=join_table,
-        bottom=int(rel.all(axis=1).argmax()),
-        top=int(rel.all(axis=0).argmax()),
-    )
+    return _lattice(labels, rel, _intersection_table(rel, labels, "join"))
 
 
 def build_lattice(elements: Sequence[str], leq_pairs: Iterable[tuple]) -> FiniteLattice:

@@ -66,9 +66,14 @@ class ProperStateSpace:
             out = np.concatenate([out, self.lattice.join_table[out, value]])
         return tuple(out.tolist())
 
+    def _check_mask(self, mask: int) -> int:
+        if not 0 <= mask < 1 << len(self.states):
+            raise IndexError(f"mask {mask} out of range for {len(self.states)} states")
+        return mask
+
     def strongest_property(self, mask: int) -> int:
         """C(T): the join of the states' properties; C of empty is bottom."""
-        return self._strongest_by_mask[mask]
+        return self._strongest_by_mask[self._check_mask(mask)]
 
     @cached_property
     def _closure_by_property(self) -> tuple[int, ...]:
@@ -77,7 +82,7 @@ class ProperStateSpace:
 
     def closure(self, mask: int) -> int:
         """The induced closure: every state whose property is below C(T)."""
-        return self._closure_by_property[self._strongest_by_mask[mask]]
+        return self._closure_by_property[self.strongest_property(mask)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +106,7 @@ class TransitionMap:
         return cls(space, tuple(space.mask(img) for img in images))
 
     def act(self, mask: int) -> int:
+        mask = self.space._check_mask(mask)
         return int(_act_table(_image_array([self], len(self.space)))[0, mask])
 
     def __repr__(self) -> str:
@@ -155,15 +161,13 @@ def is_member(f: TransitionMap) -> bool:
 
 
 def compose(outer: TransitionMap, inner: TransitionMap) -> TransitionMap:
-    """(outer o inner)(T) = outer(inner(T)); membership is preserved."""
+    """(outer o inner)(T) = outer(inner(T)). Members compose to a member, as
+    union-preserving maps are monotone: f(g(cl T)) <= f(cl gT) <= cl(fgT)."""
     if outer.space is not inner.space and outer.space.states != inner.space.states:
         raise NotMember("transition maps act on different state spaces")
     if not (is_member(outer) and is_member(inner)):
         raise NotMember("can only compose closure-compatible transition maps")
-    result = TransitionMap(inner.space, tuple(outer.act(image) for image in inner.images))
-    if not is_member(result):
-        raise NotMember("composition left the quantale; closure check failed")
-    return result
+    return TransitionMap(inner.space, tuple(outer.act(image) for image in inner.images))
 
 
 def union_join(maps: Sequence[TransitionMap],
@@ -222,51 +226,32 @@ def enumerate_members(space: ProperStateSpace) -> tuple[TransitionMap, ...]:
 
 
 @dataclass(frozen=True)
-class PairFailure:
-    """A law violation on a specific pair of transition maps."""
-
-    law: str
-    left: str
-    right: str
-
-
-@dataclass(frozen=True)
 class EpimorphismReport:
-    """Outcome of checking that propagation is a quantale morphism."""
+    """Outcome of checking that propagation is a quantale morphism.
 
-    pairs: int
-    failures: tuple[PairFailure, ...]
+    ``maps`` counts the sample maps validated. Every returned report is ok:
+    the first ill-defined or non-join-preserving map raises instead.
+    """
+
+    maps: int
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return True
 
 
 def epimorphism_check(space: ProperStateSpace,
                       sample: Sequence[TransitionMap]) -> EpimorphismReport:
-    """Verify propagation respects composition and union on all pairs.
+    """Verify that propagation respects composition and union on ``sample``.
 
-    Sample maps are read in ``space`` as by :func:`property_propagation`, so the
-    first ill-defined or non-join-preserving one raises. Their composites and
-    unions need no such check: C(T) = C(T') gives C(fgT) = C(fgT'), and C(fT u gT) = C(fT) v C(gT).
-    So the k^2 pair comparison is a cross-check that cannot fail once that validation passes.
+    Sample maps are read in ``space`` as by :func:`property_propagation`, so
+    the first ill-defined or non-join-preserving one raises. Nothing is left
+    to compare on pairs: C(T) = C(T') gives C(fgT) = C(fgT'), so f o g
+    propagates to the composite of the two propagations, and
+    C(fT u gT) = C(fT) v C(gT), so f u g propagates to their pointwise join.
     """
-    act = _act_table(_image_array(sample, len(space)))
-    _propagations(space, act)  # validates every sample map
-    strongest = np.array(space._strongest_by_mask)
-    join2 = space.lattice.join_table
-    # row j: map j's image of the states below each property, and its property
-    act_below = act[:, list(space._closure_by_property)]
-    props = strongest[act_below]
-    failures: list[PairFailure] = []
-    for block in _row_blocks(len(sample)):
-        bad = np.stack([strongest[act[block].take(act_below, axis=1)]
-                        != props[block].take(props, axis=1),
-                        strongest[act_below[block, None] | act_below]
-                        != join2[props[block, None], props]], axis=2).any(axis=3)
-        failures += [PairFailure(("composition", "union")[law], repr(sample[block.start + b]),
-                                 repr(sample[j])) for b, j, law in np.argwhere(bad)]
-    return EpimorphismReport(pairs=len(sample) ** 2, failures=tuple(failures))
+    _propagations(space, _act_table(_image_array(sample, len(space))))
+    return EpimorphismReport(maps=len(sample))
 
 
 @dataclass(frozen=True)
@@ -348,8 +333,8 @@ def check_quantale_laws(space: ProperStateSpace,
 
     Associativity and both distributivity sides are checked over every
     triple of members in row blocks of O(m**2) memory; closure under arbitrary
-    unions is checked on the full member set; the propagation morphism is
-    checked on every pair.
+    unions is checked on the full member set; every member's propagation is
+    validated, which makes propagation a morphism (:func:`epimorphism_check`).
     """
     if members is None:
         members = enumerate_members(space)

@@ -98,6 +98,51 @@ def brute_members(leq: np.ndarray, c_map) -> set[tuple[frozenset[int], ...]]:
     }
 
 
+def brute_propagations(leq: np.ndarray, c_map, maps) -> tuple[list, list]:
+    """Propagation tables of transition maps, and the pairs they fail on.
+
+    A map is given by its images of the states, as sets. Its propagation
+    sends each property x to C(f(T_x)), where T_x holds every state whose
+    property lies below x; it is None when two sets of equal strongest
+    property have images of different strongest properties. For every pair
+    (f, g) of maps with propagations, f o g must propagate to the composite
+    of theirs and f u g to their pointwise join; each pair that does not is
+    listed as (law, i, j).
+    """
+    states = range(len(c_map))
+    subsets = [frozenset(t) for r in range(len(c_map) + 1)
+               for t in itertools.combinations(states, r)]
+    strongest = {t: brute_lub(leq, [c_map[s] for s in t]) for t in subsets}
+    below = [frozenset(s for s in states if leq[c_map[s], x]) for x in range(len(leq))]
+    lub = [[brute_lub(leq, [a, b]) for b in range(len(leq))] for a in range(len(leq))]
+
+    def image(f, t):
+        return frozenset().union(*(f[s] for s in t))
+
+    known: dict = {}
+
+    def propagation(f):
+        if f not in known:
+            seen: dict = {}
+            defined = all(seen.setdefault(strongest[t], strongest[image(f, t)])
+                          == strongest[image(f, t)] for t in subsets)
+            known[f] = tuple(strongest[image(f, t)] for t in below) if defined else None
+        return known[f]
+
+    tables = [propagation(f) for f in maps]
+    failures = []
+    for (i, f), (j, g) in itertools.product(enumerate(maps), repeat=2):
+        pf, pg = tables[i], tables[j]
+        if pf is None or pg is None:
+            continue
+        if propagation(tuple(image(f, g_s) for g_s in g)) != tuple(pf[y] for y in pg):
+            failures.append(("composition", i, j))
+        if propagation(tuple(a | b for a, b in zip(f, g))) != tuple(
+                lub[a][b] for a, b in zip(pf, pg)):
+            failures.append(("union", i, j))
+    return tables, failures
+
+
 def brute_triple_laws(comp, union) -> tuple[bool, bool, bool]:
     """Associativity, left and right distributivity of index tables.
 

@@ -301,6 +301,8 @@ def test_qlattice_meet_table_matches_brute_force_on_the_pointwise_order():
         q = enumerate_Q(l1, l2)
         t = np.array([f.table for f in q.maps])
         order = l2.leq[t[:, None, :], t[None, :, :]].all(axis=2)
+        # Q reads its order off its join table: f <= g iff f v g = g
+        assert np.array_equal(q.lattice.leq, order)
         for i in range(len(q)):
             for j in range(i, len(q)):
                 assert q.lattice.meet_table[i, j] == brute_glb(order, [i, j])
@@ -312,6 +314,7 @@ def test_large_qlattice_tables_match_brute_force_on_sampled_pairs():
     q = enumerate_Q(mo3, MO2)
     t = np.array([f.table for f in q.maps])
     order = MO2.leq[t[:, None, :], t[None, :, :]].all(axis=2)
+    assert np.array_equal(q.lattice.leq, order)
     rng = np.random.default_rng(5)
     for i, j in rng.integers(len(q), size=(2000, 2)).tolist():
         assert q.lattice.meet_table[i, j] == brute_glb(order, [i, j])

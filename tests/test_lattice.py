@@ -28,7 +28,7 @@ from compoundness.lattice import (
     lattice_from_order,
 )
 
-from oracles import brute_glb, brute_lub
+from oracles import brute_glb, brute_join_irreducibles, brute_lub
 
 
 def test_two_chain_builds_from_one_pair():
@@ -151,6 +151,15 @@ def test_dual_is_the_lattice_of_the_reversed_order(lat):
     assert np.array_equal(dual.meet_table, rebuilt.meet_table)
     assert np.array_equal(dual.join_table, rebuilt.join_table)
     assert (dual.bottom, dual.top) == (lat.top, lat.bottom)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [chain(n) for n in range(2, 8)] + [boolean(n).base for n in (2, 3)]
+    + [mo(n).base for n in (2, 3)],
+)
+def test_join_irreducibles_match_brute_force(lat):
+    assert list(lat.join_irreducibles()) == brute_join_irreducibles(lat.leq)
 
 
 def test_join_irreducibles_generate_by_joins():

@@ -27,7 +27,7 @@ from compoundness.quantale import (
     union_join,
 )
 from compoundness.quantale import _row_blocks, _triple_laws
-from oracles import brute_members, brute_triple_laws
+from oracles import brute_members, brute_propagations, brute_triple_laws
 
 CHAIN2 = chain(2)
 CHAIN3 = chain(3)
@@ -45,6 +45,23 @@ def three_state_space() -> ProperStateSpace:
 def boolean_state_space() -> ProperStateSpace:
     b2 = boolean(2).base
     return ProperStateSpace(("p", "q", "r"), b2, (b2.index("a"), b2.index("b"), b2.index("a")))
+
+
+def as_sets(space: ProperStateSpace, maps) -> list[tuple[frozenset[int], ...]]:
+    """Each map's images of the states, as sets of state indices."""
+    return [
+        tuple(frozenset(s for s in range(len(space)) if image >> s & 1) for image in f.images)
+        for f in maps
+    ]
+
+
+def test_masks_outside_the_state_space_are_rejected():
+    space = three_state_space()
+    f = identity_transition(space)
+    for mask in (-1, -8, 1 << len(space)):
+        for read in (f.act, space.strongest_property, space.closure):
+            with pytest.raises(IndexError, match="out of range"):
+                read(mask)
 
 
 def test_strongest_property_and_closure():
@@ -192,19 +209,16 @@ def test_transition_tables_reject_lists_not_closed_under_products():
 def test_members_and_tables_agree_with_the_set_level_oracle(make_space):
     space = make_space()
     members = enumerate_members(space)
-    as_sets = [
-        tuple(frozenset(s for s in range(len(space)) if image >> s & 1) for image in f.images)
-        for f in members
-    ]
-    assert len(set(as_sets)) == len(as_sets)
-    assert set(as_sets) == brute_members(space.lattice.leq, space.c_map)
+    sets = as_sets(space, members)
+    assert len(set(sets)) == len(sets)
+    assert set(sets) == brute_members(space.lattice.leq, space.c_map)
     comp, union = transition_tables(members)
-    for i, f in enumerate(as_sets):
-        for j, g in enumerate(as_sets):
-            assert as_sets[comp[i, j]] == tuple(
+    for i, f in enumerate(sets):
+        for j, g in enumerate(sets):
+            assert sets[comp[i, j]] == tuple(
                 frozenset().union(*(f[t] for t in g_s)) for g_s in g
             )
-            assert as_sets[union[i, j]] == tuple(a | b for a, b in zip(f, g))
+            assert sets[union[i, j]] == tuple(a | b for a, b in zip(f, g))
     assert _triple_laws(comp, union) == brute_triple_laws(comp, union) == (True, True, True)
 
 
@@ -298,7 +312,7 @@ def test_epimorphism_exhaustive_on_two_states():
     space = two_state_space()
     members = enumerate_members(space)
     report = epimorphism_check(space, members)
-    assert report.ok and report.pairs == len(members) ** 2
+    assert report.ok and report.maps == len(members)
 
 
 def test_epimorphism_on_sampled_pairs_of_the_three_state_space():
@@ -378,3 +392,56 @@ def test_four_state_space_laws_on_sampled_triples():
         assert is_member(compose(f, g))
     sample = [members[i] for i in rng.integers(len(members), size=8)]
     assert epimorphism_check(space, sample).ok
+
+
+def _four_state_sample():
+    # the sample of test_four_state_space_laws_on_sampled_triples, drawn
+    # after its 300 triples
+    space = ProperStateSpace(("p", "q", "r", "s"), CHAIN3, (1, 1, 2, 2))
+    members = enumerate_members(space)
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        rng.integers(len(members), size=3)
+    return space, [members[i] for i in rng.integers(len(members), size=8)]
+
+
+def _three_state_sample():
+    space = three_state_space()
+    members = enumerate_members(space)
+    rng = np.random.default_rng(2)
+    return space, [members[i] for i in rng.integers(len(members), size=12)]
+
+
+def _all_members(lattice, c_map):
+    def make():
+        space = ProperStateSpace(tuple(f"s{i}" for i in range(len(c_map))), lattice, c_map)
+        return space, enumerate_members(space)
+    return make
+
+
+# every member set and sample that the tests and the quantale suite hand to
+# check_quantale_laws or epimorphism_check
+_MORPHISM_SAMPLES = {
+    "two-states": _all_members(CHAIN2, (1, 1)),
+    "three-states": _all_members(CHAIN3, (1, 1, 2)),
+    "chain3-1-2-1": _all_members(CHAIN3, (1, 2, 1)),
+    "chain3-1-2-2": _all_members(CHAIN3, (1, 2, 2)),
+    "boolean-a-b-a": _all_members(boolean(2).base, (1, 2, 1)),
+    "boolean-a-b-b": _all_members(boolean(2).base, (1, 2, 2)),
+    "chain4-198-members": _all_members(chain(4), (1, 2, 3)),
+    "three-state-sample": _three_state_sample,
+    "four-state-sample": _four_state_sample,
+    "identity-alone": lambda: (two_state_space(), [identity_transition(two_state_space())]),
+}
+
+
+@pytest.mark.parametrize("name", list(_MORPHISM_SAMPLES))
+def test_propagation_morphism_agrees_with_the_set_level_oracle(name):
+    # the pair comparison that per-map validation makes redundant in the
+    # library, recomputed from the set-level definitions
+    space, sample = _MORPHISM_SAMPLES[name]()
+    tables, failures = brute_propagations(space.lattice.leq, space.c_map,
+                                          as_sets(space, sample))
+    assert tables == [property_propagation(f).table for f in sample]
+    assert failures == []
+    assert epimorphism_check(space, sample).maps == len(sample)
