@@ -138,23 +138,24 @@ def born_probability(tv: TensorVector, psi, phi) -> float:
     """Transition probability computed directly in the tensor space.
 
     |<psi x phi, sum_i c_i psi_i x phi_i>|^2 normalized by the squared
-    norms of the outcome vectors and of the compound state. Built with an
-    explicit Kronecker product, independent of the cascade machinery. The
-    compound state sum_i c_i psi_i x phi_i is built once per tensor vector
-    and cached on it (one d1*d2 vector); each call builds only psi x phi.
+    norms of the outcome vectors and of the compound state. Built with
+    explicit Kronecker products, independent of the cascade machinery. The
+    compound state sum_i c_i psi_i x phi_i and its squared norm are built
+    once per tensor vector and cached on it (one d1*d2 vector); each call
+    builds only psi x phi, as the flattened outer product (the same
+    products as ``np.kron`` on vectors).
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if not np.any(psi) or not np.any(phi):
+    if not psi.any() or not phi.any():
         raise ZeroVector("measurement outcomes must be nonzero vectors")
     if psi.shape[0] != tv.left_basis.shape[0] or phi.shape[0] != tv.right_basis.shape[0]:
         raise DimensionMismatch("outcome vectors do not match the state's spaces")
-    state = tv._state
-    norm2 = float(np.vdot(state, state).real)
+    norm2 = tv._state_norm2
     if norm2 == 0.0:
         raise ZeroOperator("the compound state has zero norm")
-    outcome = np.kron(psi, phi)
-    overlap = np.vdot(outcome, state)
+    outcome = np.outer(psi, phi).ravel()
+    overlap = np.vdot(outcome, tv._state)
     value = float(abs(overlap) ** 2) / (
         float(np.vdot(psi, psi).real) * float(np.vdot(phi, phi).real) * norm2
     )

@@ -39,7 +39,8 @@ def is_join_preserving(table: Sequence[int], source: FiniteLattice,
     if len(table) != n:
         return False
     for v in table:
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < m:
+        # exactly int, as in FiniteLattice.check_element: a bool is no index
+        if not (type(v) is int or isinstance(v, np.integer)) or not 0 <= v < m:
             return False
     if table[source.bottom] != target.bottom:
         return False

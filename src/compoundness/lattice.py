@@ -89,7 +89,8 @@ class FiniteLattice:
             raise UnknownElement(f"no element labelled {label!r}") from None
 
     def check_element(self, x: int) -> None:
-        if not isinstance(x, (int, np.integer)) or not 0 <= x < len(self.elements):
+        # exactly int: a bool is an int subclass, and numpy reads it as a mask
+        if not (type(x) is int or isinstance(x, np.integer)) or not 0 <= x < len(self.elements):
             raise UnknownElement(
                 f"index {x!r} out of range for {len(self.elements)} elements"
             )

@@ -168,6 +168,11 @@ class TensorVector:
         state.setflags(write=False)
         return state
 
+    @cached_property
+    def _state_norm2(self) -> float:
+        """The squared norm of :attr:`_state`, computed once."""
+        return float(np.vdot(self._state, self._state).real)
+
     def __repr__(self) -> str:
         return (
             f"TensorVector({self.terms} terms, "

@@ -67,7 +67,7 @@ class ProperStateSpace:
         return tuple(out.tolist())
 
     def _check_mask(self, mask: int) -> int:
-        if not 0 <= mask < 1 << len(self.states):
+        if isinstance(mask, bool) or not 0 <= mask < 1 << len(self.states):
             raise IndexError(f"mask {mask} out of range for {len(self.states)} states")
         return mask
 

@@ -171,3 +171,16 @@ def kron_state(tv) -> np.ndarray:
     for i in range(tv.terms):
         state += tv.coefficients[i] * np.kron(tv.left_basis[:, i], tv.right_basis[:, i])
     return state
+
+
+def lueders_update(rho: np.ndarray, frame: np.ndarray,
+                   cutoff: float) -> tuple[float, np.ndarray | None]:
+    """(Tr(P rho), P rho P / Tr(P rho)) for P = F F^H, with n x n products.
+
+    The state is None when Tr(P rho) is at or below ``cutoff``.
+    """
+    proj = frame @ frame.conj().T
+    p = min(max(float(np.trace(proj @ rho).real), 0.0), 1.0)
+    if p <= cutoff:
+        return p, None
+    return p, proj @ rho @ proj / float(np.trace(proj @ rho @ proj).real)

@@ -14,6 +14,7 @@ from compoundness.cascade import (
     run_cascade,
 )
 from compoundness.density import (
+    ORTHOGONAL_CUTOFF,
     DensityState,
     carrier,
     lueders,
@@ -36,7 +37,7 @@ from compoundness.sampling import (
     random_unitary,
 )
 
-from oracles import kron_state
+from oracles import kron_state, lueders_update
 
 E1 = np.array([1, 0], dtype=complex)
 E2 = np.array([0, 1], dtype=complex)
@@ -109,6 +110,31 @@ def test_nested_updates_collapse_to_the_inner_one():
     direct = lueders(rho, inner)
     assert np.allclose(via_both.matrix, direct.matrix)
     assert np.allclose(direct.matrix, np.outer(E1, E1.conj()))
+
+
+def test_update_and_probability_match_the_projector_oracle():
+    # properties of every rank, random ones and ones spanned by eigenvectors
+    # of rho, so that exactly orthogonal outcomes occur
+    rng = np.random.default_rng(11)
+    cut = kept = 0
+    for dim in range(1, 7):
+        for _ in range(20):
+            rho = random_density(rng, dim, rank=int(rng.integers(1, dim + 1)))
+            eigenvectors = np.linalg.eigh(rho.matrix)[1]
+            for rank in range(dim + 1):
+                chosen = np.sort(rng.permutation(dim)[:rank])
+                for a in (random_subspace(rng, dim, rank=rank),
+                          Subspace(eigenvectors[:, chosen])):
+                    p, expected = lueders_update(rho.matrix, a.frame, ORTHOGONAL_CUTOFF)
+                    assert abs(transition_probability(rho, a) - p) <= 1e-12
+                    updated = lueders(rho, a)
+                    assert (updated is None) == (expected is None)
+                    if updated is None:
+                        cut += rank > 0
+                    else:
+                        kept += 1
+                        assert np.abs(updated.matrix - expected).max() <= 1e-12
+    assert cut > 20 and kept > 500
 
 
 def test_transition_probability_examples():
@@ -393,6 +419,7 @@ def test_born_state_is_built_once_and_gives_the_per_call_construction_bits():
         tv = random_tensor_vector(rng, d1, d2, int(rng.integers(1, min(d1, d2) + 1)))
         assert np.abs(tv._state - kron_state(tv)).max() <= 1e-12
         assert tv._state is tv._state
+        assert tv._state_norm2 == float(np.vdot(tv._state, tv._state).real)
         for _ in range(3):
             psi = random_state_vector(rng, d1)
             phi = random_state_vector(rng, d2)

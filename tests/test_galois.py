@@ -69,6 +69,13 @@ def test_explicit_join_violation_detected():
         JoinMap(source=B2, target=CHAIN2, table=table)
 
 
+def test_bool_tables_are_not_join_preserving():
+    assert not is_join_preserving((False, True), CHAIN2, CHAIN2)
+    with pytest.raises(NotJoinPreserving):
+        JoinMap(source=CHAIN2, target=CHAIN2, table=(False, True))
+    assert is_join_preserving((0, 1), CHAIN2, CHAIN2)
+
+
 def test_meetmap_validation():
     with pytest.raises(NotMeetPreserving):
         MeetMap(source=CHAIN2, target=CHAIN2, table=(0, 0))  # top not preserved

@@ -110,6 +110,14 @@ def test_meet_rejects_unknown_elements():
         lat.index("nope")
 
 
+def test_bools_are_not_element_indices():
+    lat = chain(3)
+    for call in (lambda: lat.join2(True, 2), lambda: lat.meet2(0, False),
+                 lambda: lat.le(True, 1), lambda: lat.join([False])):
+        with pytest.raises(UnknownElement):
+            call()
+
+
 @pytest.mark.parametrize(
     "lat,expected",
     [

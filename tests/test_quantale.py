@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from compoundness.catalog import boolean, chain, mo
-from compoundness.errors import IllDefined, NotJoinPreserving, NotMember, TooLarge
+from compoundness.errors import (
+    IllDefined,
+    NotJoinPreserving,
+    NotMember,
+    TooLarge,
+    UnknownElement,
+)
 from compoundness.galois import compose_join_maps, pointwise_join
 from compoundness.quantale import (
     ProperStateSpace,
@@ -62,6 +68,20 @@ def test_masks_outside_the_state_space_are_rejected():
         for read in (f.act, space.strongest_property, space.closure):
             with pytest.raises(IndexError, match="out of range"):
                 read(mask)
+
+
+def test_bool_masks_are_rejected():
+    space = three_state_space()
+    f = identity_transition(space)
+    for mask in (True, False):
+        for read in (f.act, space.strongest_property, space.closure):
+            with pytest.raises(IndexError, match="out of range"):
+                read(mask)
+
+
+def test_bool_properties_are_rejected():
+    with pytest.raises(UnknownElement):
+        ProperStateSpace(("p",), CHAIN2, (True,))
 
 
 def test_strongest_property_and_closure():
