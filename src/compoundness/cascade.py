@@ -11,7 +11,7 @@ explicit Kronecker construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +63,13 @@ class CascadeTrace:
 
 def _step(side: int, kind: str, prop: Subspace, pre: DensityState,
           carrier_pre: Subspace) -> CascadeStep:
-    """Update ``pre`` projectively onto ``prop``: no post-state on an orthogonal outcome."""
+    """Update ``pre`` projectively onto the ray ``prop``: no post-state on an
+    orthogonal outcome, else ``prop`` is the post-carrier (range of P rho P)."""
     p, post = _update(pre, prop)
     if post is None:
         probability, carrier_post = 0.0, Subspace.zero(prop.ambient_dim)
     else:
-        probability = p if kind == MEASURE else 1.0
-        carrier_post = carrier(post)
+        probability, carrier_post = (p if kind == MEASURE else 1.0), prop
     return CascadeStep(side, kind, prop, pre, post, probability, carrier_pre, carrier_post)
 
 
@@ -81,6 +81,7 @@ def run_cascade(op: CompoundOperator, left_atom: Subspace, right_atom: Subspace,
     state, induce the image of the collapsed carrier on the second side,
     update the second state projectively, then measure ``right_atom``.
     An orthogonal outcome terminates the run with joint probability zero.
+    Each step with a post-state has the ray it updated onto as post-carrier.
 
     The head of the run (the first measurement and the induced update)
     depends only on the operator, the order and the first atom. ``op``
@@ -104,7 +105,9 @@ def run_cascade(op: CompoundOperator, left_atom: Subspace, right_atom: Subspace,
         raise ValueError(f"order must be {LEFT_FIRST!r} or {RIGHT_FIRST!r}")
 
     head = _head(op, order, first)
-    measured = replace(head[0], measured_property=first)
+    h = head[0]
+    measured = CascadeStep(h.side, MEASURE, first, h.pre_state, h.post_state,
+                           h.probability, h.carrier_pre, h.carrier_post)
     if head[-1].post_state is None:
         return CascadeTrace((measured, *head[1:]), 0.0)
     induced = head[1]

@@ -9,6 +9,7 @@ tolerance that governs every rank decision and comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,8 @@ class Subspace:
         if self.tol < 0:
             raise ValueError("tolerance must be nonnegative")
         gram = frame.conj().T @ frame
-        if gram.shape[0] and np.abs(gram - np.eye(gram.shape[0])).max() > max(self.tol, 1e-12):
+        gram.flat[:: gram.shape[0] + 1] -= 1.0
+        if gram.shape[0] and np.abs(gram).max() > max(self.tol, 1e-12):
             raise BadBasis("frame columns are not orthonormal")
 
     @classmethod
@@ -121,13 +123,23 @@ def span(vectors, tol: float = DEFAULT_TOL) -> Subspace:
     """Orthonormalize the column span of ``vectors``.
 
     Rank is the number of singular values above ``tol`` times the largest
-    one; an empty set of columns spans the zero subspace.
+    one; an empty matrix spans the zero subspace. One column needs no SVD:
+    its norm s, taken after scaling by a power of two from its largest real
+    or imaginary part so that s neither underflows nor overflows, is its
+    only singular value (a ray iff s > tol * s).
     """
     arr = _as_complex_matrix(vectors)
-    if arr.shape[1] == 0:
+    if arr.size == 0:
         return Subspace.zero(arr.shape[0], tol)
+    if arr.shape[1] == 1:
+        x = np.ascontiguousarray(arr).view(float)
+        x = np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
+        s = math.sqrt(np.vdot(x, x))
+        if not s > tol * s:
+            return Subspace.zero(arr.shape[0], tol)
+        return Subspace(x.view(complex) / s, tol)
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
+    if s[0] <= 0.0:
         return Subspace.zero(arr.shape[0], tol)
     rank = int(np.sum(s > tol * s[0]))
     return Subspace(u[:, :rank], tol)

@@ -72,7 +72,7 @@ class CompoundOperator:
         return f"CompoundOperator({self.dim_in}->{self.dim_out}, {self.linearity})"
 
     def is_zero(self) -> bool:
-        return not np.any(self.matrix)
+        return not self.matrix.any()
 
     def apply(self, vector) -> np.ndarray:
         """Apply to a vector; anti-linear operators conjugate first."""

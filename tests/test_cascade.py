@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from compoundness.cascade import (
     LEFT_FIRST,
     RIGHT_FIRST,
+    CascadeTrace,
     born_probability,
     chain_order_check,
     check_prop2,
@@ -560,6 +563,50 @@ def test_misaligned_measurement_on_deficient_state_breaks_descent():
     trace = run_cascade(op, ray(E1 + E2), ray(E1))
     assert trace.joint_probability == pytest.approx(0.5, abs=1e-12)
     assert not chain_order_check(trace)
+
+
+def _with_state_carriers(trace):
+    """The trace with every post-carrier recomputed as carrier(post_state),
+    and the final measurement's pre-carrier as the induced step's."""
+    steps = [step if step.post_state is None
+             else replace(step, carrier_post=carrier(step.post_state))
+             for step in trace.steps]
+    if len(steps) == 3:
+        steps[2] = replace(steps[2], carrier_pre=steps[1].carrier_post)
+    return CascadeTrace(tuple(steps), trace.joint_probability)
+
+
+def test_post_carriers_are_the_rays_updated_onto():
+    # the range of P_a rho P_a for a ray a with Tr(P_a rho) > 0 is a; the
+    # kernel eigenvectors of rank-deficient reduced states give orthogonal
+    # outcomes at the first or the final measurement
+    rng = np.random.default_rng(15)
+    kept = cut = 0
+    chain_results = set()
+    for d1 in range(1, 7):
+        for d2 in range(1, 7):
+            for linearity in (LINEAR, ANTILINEAR):
+                tv = random_tensor_vector(rng, d1, d2, int(rng.integers(1, min(d1, d2) + 1)))
+                op = from_tensor(tv, linearity)
+                lefts = (random_state_vector(rng, d1),
+                         np.linalg.eigh(op.plan.rho1.matrix)[1][:, 0])
+                rights = (random_state_vector(rng, d2),
+                          np.linalg.eigh(op.plan.rho2.matrix)[1][:, 0])
+                for psi in lefts:
+                    for phi in rights:
+                        for order in (LEFT_FIRST, RIGHT_FIRST):
+                            trace = run_cascade(op, ray(psi), ray(phi), order=order)
+                            for step in trace.steps:
+                                if step.post_state is None:
+                                    cut += 1
+                                    continue
+                                kept += 1
+                                assert step.carrier_post.dim == 1
+                                assert step.carrier_post.approx_equal(carrier(step.post_state))
+                            holds = chain_order_check(trace)
+                            assert chain_order_check(_with_state_carriers(trace)) == holds
+                            chain_results.add(holds)
+    assert kept > 900 and cut > 50 and chain_results == {True, False}
 
 
 # -- randomized update law report ------------------------------------------------------

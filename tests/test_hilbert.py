@@ -37,6 +37,9 @@ def test_span_of_nothing_is_the_zero_subspace():
     sub = span(np.zeros((2, 0)))
     assert sub.dim == 0
     assert np.allclose(sub.projector(), 0.0)
+    for empty in (np.zeros(0), np.zeros((0, 1)), np.zeros((0, 3))):
+        sub = span(empty)
+        assert (sub.dim, sub.ambient_dim) == (0, 0)
 
 
 def test_span_of_mixed_diagonals_is_full_plane():
@@ -51,6 +54,54 @@ def test_span_rejects_bad_inputs():
         span(np.zeros((2, 2, 2)))
     with pytest.raises(NonFinite):
         span(np.array([[np.nan], [0.0]]))
+
+
+def _svd_span(column, tol):
+    """(rank, projector) of a column's span by an SVD and the rule s > tol * s_max."""
+    u, s, _ = np.linalg.svd(column, full_matrices=False)
+    rank = int(np.sum(s > tol * s[0])) if s[0] > 0.0 else 0
+    return rank, u[:, :rank] @ u[:, :rank].conj().T
+
+
+def test_span_of_one_column_matches_its_svd():
+    rng = np.random.default_rng(40)
+    for dim in range(1, 13):
+        for _ in range(10):
+            v = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
+            v /= np.linalg.norm(v)
+            for scale in (1.0, 1e-320, 1e-200, 1e200, 1e308):
+                column = v * scale
+                rank, expected = _svd_span(column, 1e-9)
+                sub = span(column)
+                assert sub.dim == rank == 1
+                assert np.abs(sub.projector() - expected).max() <= 1e-12
+
+
+def test_span_of_one_column_whose_norm_overflows_is_its_ray():
+    # the norm exceeds the largest float, so an SVD reports s = inf here
+    for column, direction in (([1.5e308, 1.5e308], [1, 1]),
+                              ([1.7e308 + 1.7e308j, 0.0], [1 + 1j, 0])):
+        sub = ray(np.array(column))
+        u = np.array(direction) / np.linalg.norm(direction)
+        assert np.abs(sub.projector() - np.outer(u, u.conj())).max() <= 1e-15
+
+
+def test_span_of_one_column_is_zero_for_the_zero_vector_or_tol_at_least_one():
+    assert span(np.zeros(3)).dim == 0
+    assert _svd_span(np.zeros((3, 1)), 1e-9)[0] == 0
+    v = np.array([1.0, 2.0j, -3.0])
+    for tol in (1.0, 2.5):
+        assert _svd_span(v[:, None], tol)[0] == 0
+        sub = span(v, tol)
+        assert (sub.dim, sub.ambient_dim, sub.tol) == (0, 3, tol)
+
+
+def test_span_of_one_column_rejects_non_finite_entries_and_ray_rejects_zero():
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        with pytest.raises(NonFinite):
+            span(np.array([1.0, bad]))
+    with pytest.raises(BadShape):
+        ray(np.zeros(2))
 
 
 def test_subspace_keeps_a_read_only_copy_of_its_frame():
