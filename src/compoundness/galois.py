@@ -22,7 +22,7 @@ from .errors import (
     NotMeetPreserving,
     TooLarge,
 )
-from .lattice import FiniteLattice, _lattice, _table_by_key
+from .lattice import _BLOCK_ENTRIES, FiniteLattice, _lattice, _table_by_key
 
 ENUMERATION_GUARD = 8
 # Q's meet and join tables hold |Q|^2 intp entries each, its order |Q|^2 bytes:
@@ -113,15 +113,13 @@ def map_leq(f: JoinMap | MeetMap, g: JoinMap | MeetMap) -> bool:
 def _upper_adjoint(table: Sequence[int], source: FiniteLattice,
                    target: FiniteLattice) -> tuple[int, ...]:
     """For each b of ``target``, the join in ``source`` of every a whose
-    image under the join-preserving ``table`` lies below b."""
-    leq, join = target._leq_rows, source._join_rows
-    out = []
-    for b in range(len(target)):
-        cause = source.bottom
-        for a, fa in enumerate(table):
-            if leq[fa][b]:
-                cause = join[cause][a]
-        out.append(cause)
+    image under the join-preserving ``table`` lies below b: each a is joined
+    into the entries of the up-set of its image, in increasing a."""
+    up, join = target._up_rows, source._join_rows
+    out = [source.bottom] * len(target)
+    for a, fa in enumerate(table):
+        for b in up[fa]:
+            out[b] = join[out[b]][a]
     return tuple(out)
 
 
@@ -241,53 +239,66 @@ class QLattice:
 def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
     """Enumerate every join-preserving map from ``source`` to ``target``.
 
-    Candidates are generated by choosing images for the join-irreducible
-    elements only and extending by joins, all at once as one integer array;
-    the distinct ones are filtered by the full preservation check (bottom
-    and every binary join) in one array comparison. Q's join is pointwise:
-    each pointwise join must be found among the maps, which with the absurd
-    map as bottom shows that Q is a lattice. Its order is read off the join
-    table (f <= g iff f v g = g), and its meets follow from its
-    join-irreducibles. The lattice of maps takes O(|Q|^2) memory. Guarded
-    to ``ENUMERATION_GUARD`` elements per lattice, and to ``Q_GUARD`` maps
-    before any table of Q is built.
+    Such a map is fixed by its images of the join-irreducibles (JIs), and
+    they are monotone; so candidates are built one JI at a time, keeping
+    images monotone on the JIs, and extended by joins. Each map arises
+    once. The full preservation check (bottom and every binary join) runs
+    on every candidate, in row blocks; table lookups are 1-D takes at
+    x * |L2| + y. Q's join is pointwise: each pointwise join must be found
+    among the maps, which with the absurd map as bottom shows that Q is a
+    lattice. Its order is read off the join table (f <= g iff f v g = g),
+    and its meets follow from its join-irreducibles. The lattice of maps
+    takes O(|Q|^2) memory. Guarded to ``ENUMERATION_GUARD`` elements per
+    lattice, and to ``Q_GUARD`` maps before any table of Q is built.
     """
     if len(source) > ENUMERATION_GUARD or len(target) > ENUMERATION_GUARD:
         raise TooLarge(
             f"enumeration guard is {ENUMERATION_GUARD} elements per side, got "
             f"{len(source)} and {len(target)}"
         )
+    n, m = len(source), len(target)
     jis = source.join_irreducibles()
-    dtype = np.min_scalar_type(len(target))
-    join = target.join_table.astype(dtype)
-    # assign[i]: the image of jis[i] in each candidate
-    assign = np.indices((len(target),) * len(jis), dtype=dtype).reshape(
-        len(jis), len(target) ** len(jis)
-    )
-    candidates = np.full((assign.shape[1], len(source)), target.bottom, dtype=dtype)
-    for x in range(len(source)):
+    # elements and flat indices x * m + y alike fit in dtype
+    dtype = np.min_scalar_type(m * m - 1)
+    join, leq = target.join_table.astype(dtype).ravel(), target.leq.ravel()
+    # assign[:, i]: the image of jis[i] in each candidate
+    assign = np.zeros((1, 0), dtype=dtype)
+    for i, ji in enumerate(jis):
+        assign = np.column_stack((np.repeat(assign, m, axis=0),
+                                  np.tile(np.arange(m, dtype=dtype), len(assign))))
+        keep = np.ones(len(assign), dtype=bool)
+        for k in range(i):
+            if source.leq[jis[k], ji]:
+                keep &= leq.take(assign[:, k] * m + assign[:, i])
+            if source.leq[ji, jis[k]]:
+                keep &= leq.take(assign[:, i] * m + assign[:, k])
+        assign = assign[keep]
+    candidates = np.full((len(assign), n), target.bottom, dtype=dtype)
+    for x in range(n):
         for i, ji in enumerate(jis):
             if source.leq[ji, x]:
-                candidates[:, x] = join[candidates[:, x], assign[i]]
-    # distinct rows in lexicographic order, as np.unique(axis=0) gives them but faster
-    candidates = candidates[np.lexsort(candidates.T[::-1])]
-    candidates = candidates[np.r_[True, (candidates[1:] != candidates[:-1]).any(axis=1)]]
-    xs, ys = np.triu_indices(len(source))
-    preserved = (candidates[:, source.bottom] == target.bottom) & (
-        candidates[:, source.join_table[xs, ys]]
-        == join[candidates[:, xs], candidates[:, ys]]
-    ).all(axis=1)
+                candidates[:, x] = join.take(candidates[:, x] * m + assign[:, i])
+    xs, ys = np.triu_indices(n)
+    xy = source.join_table[xs, ys]
+    preserved = np.empty(len(candidates), dtype=bool)
+    step = max(1, _BLOCK_ENTRIES // len(xs))
+    for lo in range(0, len(candidates), step):
+        c = candidates[lo:lo + step]
+        preserved[lo:lo + step] = (c[:, source.bottom] == target.bottom) & (
+            c[:, xy] == join.take(c[:, xs] * m + c[:, ys])).all(axis=1)
     arr = candidates[preserved]
     if len(arr) > Q_GUARD:
         raise TooLarge(f"Q has {len(arr)} maps; its tables are built up to {Q_GUARD}")
+    # a map's key is its table read as a base-|L2| number: sorted keys are
+    # the tables in lexicographic order
+    radix = m ** np.arange(n - 1, -1, -1)
+    arr = arr[np.argsort(arr @ radix)]
     ordered = [tuple(t) for t in arr.tolist()]
     maps = tuple(JoinMap(source=source, target=target, table=t) for t in ordered)
 
     labels = tuple(",".join(str(v) for v in t) for t in ordered)
-    # a map's key is its table read as a base-|L2| number
-    radix = len(target) ** np.arange(len(source) - 1, -1, -1)
-    join_table = _table_by_key(arr @ radix, lambda r, c: join[arr[r, None], arr[c]] @ radix,
-                               labels, "join")
+    join_table = _table_by_key(
+        arr @ radix, lambda r, c: join.take(arr[r, None] * m + arr[c]) @ radix, labels, "join")
     # f <= g iff f v g = g; distinct maps under a pointwise order form a poset
     lat = _lattice(labels, join_table == np.arange(len(arr)), join_table)
     q = QLattice(lattice=lat, maps=maps)

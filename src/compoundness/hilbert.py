@@ -123,22 +123,22 @@ def span(vectors, tol: float = DEFAULT_TOL) -> Subspace:
     """Orthonormalize the column span of ``vectors``.
 
     Rank is the number of singular values above ``tol`` times the largest
-    one; an empty matrix spans the zero subspace. One column needs no SVD:
-    its norm s, taken after scaling by a power of two from its largest real
-    or imaginary part so that s neither underflows nor overflows, is its
-    only singular value (a ray iff s > tol * s).
+    one; an empty matrix spans the zero subspace. The matrix is first scaled
+    by a power of two from its largest real or imaginary part, so that the
+    largest singular value neither underflows nor overflows. One column
+    needs no SVD: its norm s is its only singular value (a ray iff s > tol * s).
     """
     arr = _as_complex_matrix(vectors)
     if arr.size == 0:
         return Subspace.zero(arr.shape[0], tol)
+    x = np.ascontiguousarray(arr).view(float)
+    x = np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
     if arr.shape[1] == 1:
-        x = np.ascontiguousarray(arr).view(float)
-        x = np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
         s = math.sqrt(np.vdot(x, x))
         if not s > tol * s:
             return Subspace.zero(arr.shape[0], tol)
         return Subspace(x.view(complex) / s, tol)
-    u, s, _ = np.linalg.svd(arr, full_matrices=False)
+    u, s, _ = np.linalg.svd(x.view(complex), full_matrices=False)
     if s[0] <= 0.0:
         return Subspace.zero(arr.shape[0], tol)
     rank = int(np.sum(s > tol * s[0]))

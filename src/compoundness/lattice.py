@@ -70,8 +70,8 @@ class FiniteLattice:
         )
 
     @cached_property
-    def _leq_rows(self) -> list[list[bool]]:
-        return self.leq.tolist()  # lists index faster than numpy scalars
+    def _up_rows(self) -> list[list[int]]:
+        return [np.flatnonzero(row).tolist() for row in self.leq]  # lists index faster
 
     @cached_property
     def _join_rows(self) -> list[list[int]]:
@@ -328,34 +328,28 @@ def attach_ortho(base: FiniteLattice, ortho: Sequence[int]) -> OrthoLattice:
     for a in table:
         base.check_element(a)
 
-    for a in range(n):
-        if table[table[a]] != a:
-            raise NotInvolutive(
-                f"ortho(ortho({base.elements[a]!r})) != {base.elements[a]!r}"
-            )
-    for a in range(n):
-        for b in range(n):
-            if base.leq[a, b] and not base.leq[table[b], table[a]]:
-                raise NotOrderReversing(
-                    f"{base.elements[a]!r} <= {base.elements[b]!r} but complements "
-                    "are not reversed"
-                )
-    for a in range(n):
-        if base.meet2(a, table[a]) != base.bottom:
-            raise NotComplement(
-                f"{base.elements[a]!r} /\\ its complement is not the bottom"
-            )
-        if base.join2(a, table[a]) != base.top:
-            raise NotComplement(
-                f"{base.elements[a]!r} \\/ its complement is not the top"
-            )
-    for a in range(n):
-        for b in range(n):
-            if base.leq[a, b] and base.join2(a, base.meet2(b, table[a])) != b:
-                raise NotOrthomodular(
-                    f"orthomodular law fails for {base.elements[a]!r} <= "
-                    f"{base.elements[b]!r}"
-                )
+    # each check names its first failure in row-major (a, b) order
+    t, idx, labels = np.array(table), np.arange(n), base.elements
+    bad = np.flatnonzero(t[t] != idx)
+    if bad.size:
+        a = labels[bad[0]]
+        raise NotInvolutive(f"ortho(ortho({a!r})) != {a!r}")
+    bad = np.argwhere(base.leq & ~base.leq[t[None, :], t[:, None]])
+    if bad.size:
+        a, b = (labels[i] for i in bad[0])
+        raise NotOrderReversing(f"{a!r} <= {b!r} but complements are not reversed")
+    no_meet = base.meet_table[idx, t] != base.bottom
+    bad = np.flatnonzero(no_meet | (base.join_table[idx, t] != base.top))
+    if bad.size:
+        a = bad[0]
+        if no_meet[a]:
+            raise NotComplement(f"{labels[a]!r} /\\ its complement is not the bottom")
+        raise NotComplement(f"{labels[a]!r} \\/ its complement is not the top")
+    law = base.join_table[idx[:, None], base.meet_table[idx, t[:, None]]]  # a v (b /\ a')
+    bad = np.argwhere(base.leq & (law != idx))
+    if bad.size:
+        a, b = (labels[i] for i in bad[0])
+        raise NotOrthomodular(f"orthomodular law fails for {a!r} <= {b!r}")
     return OrthoLattice(base=base, ortho=table)
 
 

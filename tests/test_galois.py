@@ -33,6 +33,7 @@ from compoundness.galois import (
     pointwise_join,
     separation_state,
 )
+from compoundness.lattice import build_lattice
 
 from oracles import (
     brute_glb,
@@ -46,6 +47,15 @@ B2 = boolean(2).base
 CHAIN2 = chain(2)
 CHAIN3 = chain(3)
 MO2 = mo(2).base
+# sources whose join-irreducibles are partly comparable: in the pentagon c
+# (listed before a) lies above a and not b; in 2x3, 01 < 02 and 10 is apart.
+# The pentagon lists its top before its join-irreducibles, so its maps in
+# table order are not in the order of their join-irreducible images.
+N5 = build_lattice(["0", "1", "c", "b", "a"],
+                   [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
+C2XC3 = build_lattice([f"{i}{j}" for i in range(2) for j in range(3)],
+                      [(f"{i}{j}", f"{i}{j + 1}") for i in range(2) for j in range(2)]
+                      + [(f"0{j}", f"1{j}") for j in range(3)])
 
 
 def identity_map(lat) -> JoinMap:
@@ -143,6 +153,8 @@ def test_adjoint_via_minimum_search_oracle_on_b2():
         (CHAIN2, MO2),
         (MO2, CHAIN2),
         (MO2, CHAIN3),
+        (N5, MO2),
+        (B2, N5),
     ],
 )
 def test_adjunction_holds_exhaustively(l1, l2):
@@ -262,11 +274,14 @@ def test_enumerated_sizes_match_free_atom_choices():
         (MO2, CHAIN3),
         (MO2, B2),
         (B2, MO2),
+        *((src, tgt) for src in (N5, C2XC3) for tgt in (CHAIN3, B2, MO2)),
+        *((src, tgt) for tgt in (N5, C2XC3) for src in (CHAIN3, B2, MO2)),
     ],
 )
 def test_enumeration_matches_brute_force(l1, l2):
     q = enumerate_Q(l1, l2)
-    assert {f.table for f in q.maps} == brute_join_maps(l1, l2)
+    tables = [f.table for f in q.maps]
+    assert tables == sorted(brute_join_maps(l1, l2))
 
 
 def test_enumeration_guard():
@@ -340,6 +355,20 @@ def test_q_lattice_build_stays_in_quadratic_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_candidate_filter_runs_in_row_blocks():
+    # 46,656 candidates (six incomparable atoms): checking every pair on all
+    # rows at once builds candidates x pairs temporaries of about 7 MB
+    mo3 = mo(3).base
+    enumerate_Q(mo3, chain(6))
+    tracemalloc.start()
+    try:
+        enumerate_Q(mo3, chain(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_in_guard_pair_that_ran_out_of_memory_enumerates():

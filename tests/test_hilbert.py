@@ -86,6 +86,36 @@ def test_span_of_one_column_whose_norm_overflows_is_its_ray():
         assert np.abs(sub.projector() - np.outer(u, u.conj())).max() <= 1e-15
 
 
+def test_span_of_several_columns_whose_largest_singular_value_overflows():
+    # the largest singular value exceeds the largest float, so an SVD of the
+    # unscaled matrix reports s[0] = inf and no singular value passes the rule
+    assert span(np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])).dim == 2
+    assert span(np.array([[1.5e308, 0.0], [1.5e308, 1e300]])).dim == 2
+    # independent columns with s[1] / s[0] about 3.3e-309: a line under the
+    # default tol, as at a finite scale, and the plane at tol = 0
+    skew = np.array([[1.5e308, 0.0], [1.5e308, 1.0]])
+    line = span(skew)
+    assert line.dim == span(skew * 2.0**-100).dim == 1
+    assert np.abs(line.projector() - 0.5).max() <= 1e-15
+    assert span(skew, tol=0.0).dim == 2
+
+
+def test_span_of_several_columns_keeps_the_frame_of_an_unscaled_svd():
+    rng = np.random.default_rng(41)
+    for dim in range(2, 13):
+        for cols in range(2, 7):
+            for scale in (1.0, 3.7, 1e-3):
+                a = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
+                if cols > 2:
+                    a[:, -1] = a[:, 0] * (0.5 - 0.25j)
+                a *= scale
+                u, s, _ = np.linalg.svd(a, full_matrices=False)
+                rank = int(np.sum(s > 1e-9 * s[0]))
+                sub = span(a)
+                assert sub.dim == rank
+                assert np.abs(sub.frame - u[:, :rank]).max() <= 1e-15
+
+
 def test_span_of_one_column_is_zero_for_the_zero_vector_or_tol_at_least_one():
     assert span(np.zeros(3)).dim == 0
     assert _svd_span(np.zeros((3, 1)), 1e-9)[0] == 0

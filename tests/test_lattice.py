@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -199,14 +200,16 @@ def test_mo2_is_orthomodular_but_not_distributive():
 def test_self_complement_on_atom_is_rejected():
     base = boolean(2).base
     ortho = [base.index("1"), base.index("a"), base.index("b"), base.index("0")]
-    with pytest.raises(NotComplement):
+    # a and b both fail; the first in index order is named
+    with pytest.raises(NotComplement, match=re.escape("'a' /\\ its complement is not the bottom")):
         attach_ortho(base, ortho)
 
 
 def test_non_involutive_table_is_rejected():
     base = boolean(2).base
     zero, a, b, one = (base.index(x) for x in "0ab1")
-    with pytest.raises(NotInvolutive):
+    # a and b both fail; the first in index order is named
+    with pytest.raises(NotInvolutive, match=re.escape("ortho(ortho('a')) != 'a'")):
         attach_ortho(base, [one, b, one, zero])
 
 
@@ -214,7 +217,9 @@ def test_non_order_reversing_involution_is_rejected():
     base = boolean(2).base
     zero, a, b, one = (base.index(x) for x in "0ab1")
     # swaps 0<->a and b<->1: involutive, but 0<=b does not reverse
-    with pytest.raises(NotOrderReversing):
+    # (0, b) is the first failing pair in row-major order; (0, 1) and (a, 1) fail too
+    with pytest.raises(NotOrderReversing,
+                       match=re.escape("'0' <= 'b' but complements are not reversed")):
         attach_ortho(base, [a, zero, one, b])
 
 
@@ -224,7 +229,8 @@ def test_benzene_ring_fails_orthomodularity():
     pairs = [("0", "a"), ("a", "b"), ("b", "1"), ("0", "b'"), ("b'", "a'"), ("a'", "1")]
     base = build_lattice(labels, pairs)
     ortho = [5, 4, 3, 2, 1, 0]
-    with pytest.raises(NotOrthomodular):
+    # (a, b) is the first of several failing pairs in row-major order
+    with pytest.raises(NotOrthomodular, match=re.escape("fails for 'a' <= 'b'")):
         attach_ortho(base, ortho)
 
 
