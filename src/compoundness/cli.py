@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -287,13 +288,26 @@ def _cmd_convert(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+def _at_least(low: int, convert=int):
+    """An argparse type: ``convert`` the text, then require a finite value
+    of at least ``low``. No discrepancy exceeds nan, so a nan tolerance
+    would pass every check."""
+    def parse(text: str):
+        value = convert(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Flags accepted before or after any subcommand. main() supplies their
     # defaults: a subcommand's own default would overwrite a flag given before it.
     shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     shared.add_argument("--json", action="store_true", help="machine output")
     shared.add_argument("--quiet", action="store_true", help="suppress text output")
-    shared.add_argument("--tol", type=float, help=f"tolerance (default {DEFAULT_TOL})")
+    shared.add_argument("--tol", type=_at_least(0, float), help=f"tolerance (default {DEFAULT_TOL})")
     parser = argparse.ArgumentParser(
         prog="compoundness",
         description="Order-theoretic toolkit for two-part quantum systems.",
@@ -329,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     command(compound, "quadruple", _cmd_compound_quadruple, "file")
     command(compound, "tensor", _cmd_compound_tensor, "file")
     p = command(compound, "probe", _cmd_compound_probe, "f", "g")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(0), default=200)
+    p.add_argument("--seed", type=_at_least(0), default=0)
 
     cascade = group("cascade")
     p = command(cascade, "run", _cmd_cascade_run)
@@ -340,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default=cascade_mod.LEFT_FIRST,
                    choices=[cascade_mod.LEFT_FIRST, cascade_mod.RIGHT_FIRST])
     p = command(cascade, "verify", _cmd_cascade_verify)
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=_at_least(1), default=3)
+    p.add_argument("--trials", type=_at_least(0), default=100)
+    p.add_argument("--seed", type=_at_least(0), default=0)
 
     quantale = group("quantale")
     command(quantale, "check", _cmd_quantale_check, "file")
@@ -351,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "verify", _cmd_verify)
     p.add_argument("suites", nargs="*",
                    help=f"suites to run (default: all of {SUITE_NAMES})")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--trials", type=_at_least(0), default=100)
 
     p = command(sub, "convert", _cmd_convert, "input")
     p.add_argument("output", nargs="?")

@@ -36,7 +36,8 @@ class NotOrderReversing(CompoundnessError):
 
 
 class NotComplement(CompoundnessError):
-    """Some element fails a /\\ a' = 0 or a \\/ a' = 1."""
+    """Some element fails a /\\ a' = 0. (a \\/ a' = 1 then follows, as the
+    complement is an order-reversing involution; it is not checked.)"""
 
 
 class NotOrthomodular(CompoundnessError):

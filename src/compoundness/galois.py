@@ -22,7 +22,7 @@ from .errors import (
     NotMeetPreserving,
     TooLarge,
 )
-from .lattice import _BLOCK_ENTRIES, FiniteLattice, _lattice, _table_by_key
+from .lattice import FiniteLattice, _indices_ok, _lattice, _row_blocks, _table_by_key
 
 ENUMERATION_GUARD = 8
 # Q's meet and join tables hold |Q|^2 intp entries each, its order |Q|^2 bytes:
@@ -35,13 +35,8 @@ def is_join_preserving(table: Sequence[int], source: FiniteLattice,
                        target: FiniteLattice) -> bool:
     """Whether ``table`` sends the bottom to the bottom and preserves all
     binary joins (sufficient for all joins between finite lattices)."""
-    n, m = len(source), len(target)
-    if len(table) != n:
+    if len(table) != len(source) or not _indices_ok(table, len(target)):
         return False
-    for v in table:
-        # exactly int, as in FiniteLattice.check_element: a bool is no index
-        if not (type(v) is int or isinstance(v, np.integer)) or not 0 <= v < m:
-            return False
     if table[source.bottom] != target.bottom:
         return False
     return _preserves(table, source._join_rows, target._join_rows)
@@ -220,12 +215,11 @@ class QLattice:
 
     def index_of(self, f: JoinMap | tuple[int, ...]) -> int:
         table = f.table if isinstance(f, JoinMap) else tuple(f)
-        try:
-            return self._index[table]
-        except KeyError:
-            raise NotJoinPreserving(
-                f"table {table} is not one of the enumerated maps"
-            ) from None
+        # a bool or an integral float hashes as an int, so check before the lookup
+        index = self._index.get(table) if _indices_ok(table, len(self.top_map.target)) else None
+        if index is None:
+            raise NotJoinPreserving(f"table {table} is not one of the enumerated maps")
+        return index
 
     @property
     def top_map(self) -> JoinMap:
@@ -281,10 +275,9 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
     xs, ys = np.triu_indices(n)
     xy = source.join_table[xs, ys]
     preserved = np.empty(len(candidates), dtype=bool)
-    step = max(1, _BLOCK_ENTRIES // len(xs))
-    for lo in range(0, len(candidates), step):
-        c = candidates[lo:lo + step]
-        preserved[lo:lo + step] = (c[:, source.bottom] == target.bottom) & (
+    for rows in _row_blocks(len(candidates), len(xs)):
+        c = candidates[rows]
+        preserved[rows] = (c[:, source.bottom] == target.bottom) & (
             c[:, xy] == join.take(c[:, xs] * m + c[:, ys])).all(axis=1)
     arr = candidates[preserved]
     if len(arr) > Q_GUARD:

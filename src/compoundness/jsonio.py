@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParseError, UnknownElement
 from .galois import JoinMap
-from .lattice import FiniteLattice, OrthoLattice, attach_ortho, build_lattice
+from .lattice import FiniteLattice, OrthoLattice, _indices_ok, attach_ortho, build_lattice
 from .operators import ANTILINEAR, LINEAR, CompoundOperator, TensorVector, from_tensor, schmidt_tensor
 from .quantale import ProperStateSpace
 
@@ -52,12 +52,6 @@ def _building(what: str):
         raise ParseError(f"{what}: {exc}") from None
 
 
-def _indices(values) -> bool:
-    """Whether ``values`` is a list of integers; a JSON boolean is not one,
-    although Python's bool is an int subclass."""
-    return isinstance(values, list) and all(type(v) is int for v in values)
-
-
 # -- lattices ----------------------------------------------------------------
 
 @_building("lattice")
@@ -67,18 +61,10 @@ def parse_lattice(obj) -> FiniteLattice | OrthoLattice:
     pairs = _require(obj, "leq", "lattice")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise ParseError("lattice: 'elements' must be a list of strings")
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(type(v) in (int, str) for v in p)
-        for p in pairs
-    ):
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise ParseError("lattice: 'leq' must be a list of [i, j] pairs of indices or labels")
     base = build_lattice(elements, [tuple(p) for p in pairs])
-    if "ortho" in obj:
-        ortho = obj["ortho"]
-        if not _indices(ortho):
-            raise ParseError("lattice: 'ortho' must be a list of element indices")
-        return attach_ortho(base, ortho)
-    return base
+    return attach_ortho(base, obj["ortho"]) if "ortho" in obj else base
 
 
 def parse_base_lattice(obj) -> FiniteLattice:
@@ -99,14 +85,13 @@ def dump_lattice(lat: FiniteLattice | OrthoLattice) -> dict:
 
 # -- join maps ---------------------------------------------------------------
 
+@_building("map")
 def parse_join_map(obj) -> JoinMap:
     """{"source": <lattice>, "target": <lattice>, "table": [j0, j1, ...]}"""
     source = parse_base_lattice(_require(obj, "source", "map"))
     target = parse_base_lattice(_require(obj, "target", "map"))
     table = _require(obj, "table", "map")
-    if not _indices(table):
-        raise ParseError("map: 'table' must be a list of target indices")
-    if len(table) != len(source) or not all(0 <= v < len(target) for v in table):
+    if len(table) != len(source) or not _indices_ok(table, len(target)):
         raise ParseError(f"map: 'table' must give one of the {len(target)} target indices "
                          f"for each of the {len(source)} source elements")
     return JoinMap(source=source, target=target, table=tuple(table))
@@ -215,8 +200,6 @@ def parse_space(obj) -> ProperStateSpace:
     c_map = _require(obj, "c_map", "state space")
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise ParseError("state space: 'states' must be a list of strings")
-    if not _indices(c_map):
-        raise ParseError("state space: 'c_map' must be a list of lattice indices")
     return ProperStateSpace(tuple(states), lattice, tuple(c_map))
 
 

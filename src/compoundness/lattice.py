@@ -89,8 +89,7 @@ class FiniteLattice:
             raise UnknownElement(f"no element labelled {label!r}") from None
 
     def check_element(self, x: int) -> None:
-        # exactly int: a bool is an int subclass, and numpy reads it as a mask
-        if not (type(x) is int or isinstance(x, np.integer)) or not 0 <= x < len(self.elements):
+        if not _indices_ok((x,), len(self.elements)):
             raise UnknownElement(
                 f"index {x!r} out of range for {len(self.elements)} elements"
             )
@@ -121,15 +120,8 @@ class FiniteLattice:
         return acc
 
     def atoms(self) -> tuple[int, ...]:
-        """Elements covering the bottom."""
-        out = []
-        for x in range(len(self.elements)):
-            if x == self.bottom:
-                continue
-            strictly_below = set(np.flatnonzero(self.leq[:, x])) - {x}
-            if strictly_below == {self.bottom}:
-                out.append(x)
-        return tuple(out)
+        """Elements covering the bottom: only the bottom and x lie below x."""
+        return tuple(np.flatnonzero(self.leq.sum(axis=0) == 2).tolist())
 
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements other than the bottom that are not the join of the
@@ -143,7 +135,24 @@ class FiniteLattice:
         return len(self) == len(other) and bool(np.array_equal(self.leq, other.leq))
 
 
-_BLOCK_ENTRIES = 1 << 17
+def _indices_ok(values: Iterable, n: int) -> bool:
+    """Whether every value is an element index below ``n``: an int or a
+    numpy integer, in 0..n-1. A bool is no index (numpy reads it as a mask),
+    although Python's bool is an int subclass; nor is a float."""
+    for v in values:
+        if not (type(v) is int or isinstance(v, np.integer)) or not 0 <= v < n:
+            return False
+    return True
+
+
+_BLOCK_ENTRIES = 1 << 16  # entries in the largest temporary of a row-blocked loop
+
+
+def _row_blocks(rows: int, per_row: int) -> list[slice]:
+    """Slices covering range(rows), each as many rows of ``per_row`` entries
+    as fit in ``_BLOCK_ENTRIES``, and at least one."""
+    step = max(1, _BLOCK_ENTRIES // max(1, per_row))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _table_by_key(keys: np.ndarray, pair_keys, labels: Sequence[str], what: str,
@@ -159,16 +168,16 @@ def _table_by_key(keys: np.ndarray, pair_keys, labels: Sequence[str], what: str,
     order = np.argsort(keys)
     ranked = keys[order]
     table = np.empty((n, n), dtype=np.intp)
-    step = max(1, _BLOCK_ENTRIES // (n * width))
-    for lo in range(0, n, step):
-        want = pair_keys(slice(lo, lo + step), slice(lo, None))
+    for rows in _row_blocks(n, n * width):
+        lo = rows.start
+        want = pair_keys(rows, slice(lo, None))
         hit = order[np.minimum(np.searchsorted(ranked, want), n - 1)]
         miss = keys[hit] != want
         if miss.any():
             x, y = np.argwhere(miss)[0] + lo
             raise NotALattice(f"elements {labels[x]!r} and {labels[y]!r} have no {what}")
-        table[lo:lo + step, lo:] = hit
-        table[lo:, lo:lo + step] = hit.T
+        table[rows, lo:] = hit
+        table[lo:, rows] = hit.T
     return table
 
 
@@ -272,13 +281,13 @@ def build_lattice(elements: Sequence[str], leq_pairs: Iterable[tuple]) -> Finite
         raise NoBounds("an empty element list has no bottom or top")
 
     def resolve(entry) -> int:
-        if isinstance(entry, (int, np.integer)):
-            if not 0 <= entry < n:
-                raise UnknownElement(f"index {entry} out of range")
-            return int(entry)
         if entry in labels:
             return labels.index(entry)
-        raise UnknownElement(f"no element labelled {entry!r}")
+        if isinstance(entry, str):
+            raise UnknownElement(f"no element labelled {entry!r}")
+        if not _indices_ok((entry,), n):
+            raise UnknownElement(f"index {entry} out of range")
+        return int(entry)
 
     rel = np.eye(n, dtype=bool)
     for lo, hi in leq_pairs:
@@ -293,8 +302,8 @@ class OrthoLattice:
     """A finite lattice with a validated orthocomplementation.
 
     The complement is an order-reversing involution satisfying
-    a /\\ a' = 0, a \\/ a' = 1, and the orthomodular law
-    a <= b  =>  b = a \\/ (b /\\ a').
+    a /\\ a' = 0, hence a \\/ a' = (a /\\ a')' = 1, and the orthomodular
+    law a <= b  =>  b = a \\/ (b /\\ a').
     """
 
     base: FiniteLattice
@@ -321,12 +330,12 @@ class OrthoLattice:
 
 def attach_ortho(base: FiniteLattice, ortho: Sequence[int]) -> OrthoLattice:
     """Validate an orthocomplement table and attach it to ``base``."""
-    n = len(base)
-    table = tuple(int(v) for v in ortho)
-    if len(table) != n:
+    n, values = len(base), tuple(ortho)
+    if len(values) != n:
         raise ValueError(f"ortho table must list all {n} elements")
-    for a in table:
-        base.check_element(a)
+    if not _indices_ok(values, n):
+        raise UnknownElement(f"ortho table {values} has an index out of range for {n} elements")
+    table = tuple(int(v) for v in values)
 
     # each check names its first failure in row-major (a, b) order
     t, idx, labels = np.array(table), np.arange(n), base.elements
@@ -338,13 +347,10 @@ def attach_ortho(base: FiniteLattice, ortho: Sequence[int]) -> OrthoLattice:
     if bad.size:
         a, b = (labels[i] for i in bad[0])
         raise NotOrderReversing(f"{a!r} <= {b!r} but complements are not reversed")
-    no_meet = base.meet_table[idx, t] != base.bottom
-    bad = np.flatnonzero(no_meet | (base.join_table[idx, t] != base.top))
+    # then a v a' = (a /\ a')' = 0' = 1: an order-reversing involution swaps v and /\
+    bad = np.flatnonzero(base.meet_table[idx, t] != base.bottom)
     if bad.size:
-        a = bad[0]
-        if no_meet[a]:
-            raise NotComplement(f"{labels[a]!r} /\\ its complement is not the bottom")
-        raise NotComplement(f"{labels[a]!r} \\/ its complement is not the top")
+        raise NotComplement(f"{labels[bad[0]]!r} /\\ its complement is not the bottom")
     law = base.join_table[idx[:, None], base.meet_table[idx, t[:, None]]]  # a v (b /\ a')
     bad = np.argwhere(base.leq & (law != idx))
     if bad.size:

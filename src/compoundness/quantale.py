@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IllDefined, NotMember, TooLarge
+from .errors import IllDefined, NotMember, TooLarge, UnknownElement
 from .galois import JoinMap
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, _indices_ok, _row_blocks
 
 ENUMERATION_GUARD = 4
 
@@ -42,8 +42,9 @@ class ProperStateSpace:
             raise ValueError("state labels must be distinct")
         if len(self.c_map) != len(self.states):
             raise ValueError("c_map must assign a property to every state")
-        for value in self.c_map:
-            self.lattice.check_element(value)
+        if not _indices_ok(self.c_map, len(self.lattice)):
+            raise UnknownElement(f"c_map {self.c_map} has an index out of range "
+                                 f"for {len(self.lattice)} elements")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -67,7 +68,7 @@ class ProperStateSpace:
         return tuple(out.tolist())
 
     def _check_mask(self, mask: int) -> int:
-        if isinstance(mask, bool) or not 0 <= mask < 1 << len(self.states):
+        if not _indices_ok((mask,), 1 << len(self.states)):
             raise IndexError(f"mask {mask} out of range for {len(self.states)} states")
         return mask
 
@@ -95,10 +96,9 @@ class TransitionMap:
     def __post_init__(self) -> None:
         if len(self.images) != len(self.space):
             raise ValueError("need one image per state")
-        full = (1 << len(self.space)) - 1
-        for image in self.images:
-            if image & ~full:
-                raise ValueError(f"image mask {image:b} mentions unknown states")
+        if not _indices_ok(self.images, 1 << len(self.space)):
+            raise ValueError(f"image masks {self.images} are out of range "
+                             f"for {len(self.space)} states")
 
     @classmethod
     def from_images(cls, space: ProperStateSpace,
@@ -144,15 +144,6 @@ def _compatible(space: ProperStateSpace, images: np.ndarray) -> np.ndarray:
     closure = np.array(space._closure_by_property)[list(space._strongest_by_mask)]
     act = _act_table(images)
     return ~(act[:, closure] & ~closure[act]).any(axis=1)
-
-
-_BLOCK_ELEMENTS = 1 << 16  # entries per block of the row-blocked checks
-
-
-def _row_blocks(m: int) -> list[slice]:
-    """Slices covering range(m): as many rows of (m, m) as fit a block, or one."""
-    step = max(1, _BLOCK_ELEMENTS // max(1, m) ** 2)
-    return [slice(start, start + step) for start in range(0, m, step)]
 
 
 def is_member(f: TransitionMap) -> bool:
@@ -285,7 +276,7 @@ def _triple_laws(comp: np.ndarray, union: np.ndarray) -> tuple[bool, bool, bool]
     comp_at, union_at = comp.astype(np.intp), union.astype(np.intp)
     union_row = comp_at * m  # where row comp[i, j] of union starts, flattened
     associative = left = right = True
-    for block in _row_blocks(m):
+    for block in _row_blocks(m, m * m):
         rows = comp_at[block]
         associative = associative and np.array_equal(
             comp.take(rows, axis=0), comp[block].take(comp_at, axis=1))

@@ -34,6 +34,14 @@ def brute_lub(leq: np.ndarray, xs: list[int]) -> int | None:
     return least[0]
 
 
+def brute_atoms(leq: np.ndarray) -> list[int]:
+    """Elements above the bottom with nothing strictly between."""
+    n = leq.shape[0]
+    bottom = next(b for b in range(n) if leq[b].all())
+    return [x for x in range(n) if x != bottom and leq[bottom, x]
+            and not any(leq[bottom, y] and leq[y, x] for y in range(n) if y not in (bottom, x))]
+
+
 def brute_join_irreducibles(leq: np.ndarray) -> list[int]:
     """Elements other than the bottom that are not the join of those strictly below."""
     n = leq.shape[0]

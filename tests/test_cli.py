@@ -89,19 +89,46 @@ _TV_TO_MATRIX = ["convert", "--from", "tv-json", "--to", "matrix-json"]
     (["lattice", "check"], dict(_CHAIN2, ortho=[True, False])),
     (["galois", "dual"], {"source": _CHAIN2, "target": _CHAIN2, "table": [False, True]}),
     (["lattice", "check"], {"elements": ["0", "1"], "leq": [[False, True]]}),
+    (["lattice", "check"], {"elements": ["0", "1"], "leq": [[0.0, 1]]}),
+    (["lattice", "check"], dict(_CHAIN2, ortho=[1.0, 0.0])),
+    (["lattice", "check"], dict(_CHAIN2, ortho=1)),
+    (["galois", "dual"], {"source": _CHAIN2, "target": _CHAIN2, "table": [0.0, 1.0]}),
+    (["galois", "dual"], {"source": _CHAIN2, "target": _CHAIN2, "table": 1}),
+    (["quantale", "check"], {"states": ["p"], "lattice": _CHAIN2, "c_map": [1.0]}),
+    (["quantale", "check"], {"states": ["p"], "lattice": _CHAIN2, "c_map": 1}),
 ], ids=["duplicate-elements", "short-ortho", "duplicate-states", "rows-string",
         "rows-null", "ragged-re", "rows-float-cols-bool", "rows-integral-float", "cols-bool",
         "lattice-not-object", "elements-not-strings", "leq-not-pairs", "ortho-not-integers",
         "table-not-integers", "coefficients-unequal", "states-not-strings",
         "c-map-not-integers", "c-map-index-out-of-range", "ortho-index-out-of-range",
         "leq-index-out-of-range", "table-index-out-of-range", "table-wrong-length",
-        "c-map-bool", "ortho-bool", "table-bool", "leq-bool"])
+        "c-map-bool", "ortho-bool", "table-bool", "leq-bool", "leq-float", "ortho-float",
+        "ortho-not-a-list", "table-float", "table-not-a-list", "c-map-float",
+        "c-map-not-a-list"])
 def test_malformed_file_is_a_parse_error(files, capsys, command, payload):
     path = files("bad.json", payload)
     assert main([*command, path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol", "nan", "verify", "--trials", "1"],
+    ["--tol", "inf", "verify", "--trials", "1"],
+    ["--tol", "-1", "hilbert", "ortho", str(DATA / "e1.json")],
+    ["verify", "--trials", "-3"],
+    ["verify", "--seed", "-1", "--trials", "1"],
+    ["cascade", "verify", "--dim", "0"],
+    ["cascade", "verify", "--trials", "-1"],
+    ["compound", "probe", str(DATA / "uniform-operator.json"),
+     str(DATA / "uniform-operator.json"), "--samples", "-1"],
+], ids=["tol-nan", "tol-inf", "tol-negative", "trials-negative", "seed-negative",
+        "dim-zero", "cascade-trials-negative", "samples-negative"])
+def test_bad_numeric_flags_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be" in err and "Traceback" not in err
 
 
 def test_missing_file_exits_two(capsys):

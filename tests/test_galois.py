@@ -84,6 +84,11 @@ def test_bool_tables_are_not_join_preserving():
     with pytest.raises(NotJoinPreserving):
         JoinMap(source=CHAIN2, target=CHAIN2, table=(False, True))
     assert is_join_preserving((0, 1), CHAIN2, CHAIN2)
+    q = enumerate_Q(CHAIN2, CHAIN2)
+    assert q.index_of((0, 1)) == q.index_of(np.array([0, 1])) == 1
+    for table in ((False, True), (0.0, 1.0)):
+        with pytest.raises(NotJoinPreserving):
+            q.index_of(table)
 
 
 def test_meetmap_validation():

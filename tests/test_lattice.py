@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from compoundness.catalog import boolean, chain, mo
 from compoundness.errors import (
+    CompoundnessError,
     NoBounds,
     NotALattice,
     NotAPoset,
@@ -29,7 +30,9 @@ from compoundness.lattice import (
     lattice_from_order,
 )
 
-from oracles import brute_glb, brute_join_irreducibles, brute_lub
+from compoundness.galois import enumerate_Q
+
+from oracles import brute_atoms, brute_glb, brute_join_irreducibles, brute_lub
 
 
 def test_two_chain_builds_from_one_pair():
@@ -119,6 +122,21 @@ def test_bools_are_not_element_indices():
             call()
 
 
+@pytest.mark.parametrize("pair", [(False, True), (0, True), (0.0, 1), (0, 1.0), (0, 2)])
+def test_pair_entries_that_are_no_index_or_label_are_refused(pair):
+    with pytest.raises(UnknownElement, match="out of range"):
+        build_lattice(["a", "b"], [pair])
+
+
+def test_pair_entries_may_be_numpy_integers():
+    lat = build_lattice(["a", "b"], [(np.int64(0), np.uint8(1))])
+    assert lat.le(0, 1) and not lat.le(1, 0)
+
+
+N5 = build_lattice(["0", "a", "b", "c", "1"],
+                   [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+
+
 @pytest.mark.parametrize(
     "lat,expected",
     [
@@ -129,6 +147,17 @@ def test_bools_are_not_element_indices():
 )
 def test_atoms_cover_the_bottom(lat, expected):
     assert [lat.elements[i] for i in lat.atoms()] == expected
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [chain(n) for n in range(1, 6)] + [boolean(n).base for n in (1, 2, 3)]
+    + [mo(n).base for n in (1, 2, 3)]
+    + [N5, enumerate_Q(chain(3), boolean(2).base).lattice, enumerate_Q(mo(2).base, chain(3)).lattice],
+)
+def test_atoms_match_brute_force(lat):
+    assert lat.atoms() == tuple(brute_atoms(lat.leq))
+    assert all(type(a) is int for a in lat.atoms())
 
 
 @pytest.mark.parametrize(
@@ -221,6 +250,35 @@ def test_non_order_reversing_involution_is_rejected():
     with pytest.raises(NotOrderReversing,
                        match=re.escape("'0' <= 'b' but complements are not reversed")):
         attach_ortho(base, [a, zero, one, b])
+
+
+@pytest.mark.parametrize("ortho", [(True, False), (1.5, 0.2), (1.0, 0.0), ("1", "0"), (1, 2)])
+def test_ortho_entries_must_be_element_indices(ortho):
+    with pytest.raises(UnknownElement, match="out of range"):
+        attach_ortho(chain(2), ortho)
+
+
+def test_ortho_entries_may_be_numpy_integers():
+    ol = attach_ortho(chain(2), np.array([1, 0]))
+    assert ol.ortho == (1, 0) and all(type(v) is int for v in ol.ortho)
+
+
+@pytest.mark.parametrize("lat, orthocomplements", [
+    (chain(2), 1), (chain(3), 0), (chain(4), 0), (chain(5), 0),
+    # complements are unique in a distributive lattice; mo(2) pairs its four atoms
+    (boolean(2).base, 1), (mo(2).base, 3), (boolean(3).base, 1),
+])
+def test_every_accepted_ortho_table_joins_each_element_to_the_top(lat, orthocomplements):
+    # attach_ortho checks a /\ a' = 0 but not a v a' = 1, which must follow
+    accepted = 0
+    for table in itertools.permutations(range(len(lat))):
+        try:
+            ol = attach_ortho(lat, table)
+        except CompoundnessError:
+            continue
+        accepted += 1
+        assert all(lat.join2(a, ol.ortho_of(a)) == lat.top for a in range(len(lat)))
+    assert accepted == orthocomplements
 
 
 def test_benzene_ring_fails_orthomodularity():

@@ -32,7 +32,8 @@ from compoundness.quantale import (
     transition_tables,
     union_join,
 )
-from compoundness.quantale import _row_blocks, _triple_laws
+from compoundness.lattice import _row_blocks
+from compoundness.quantale import _triple_laws
 from oracles import brute_members, brute_propagations, brute_triple_laws
 
 CHAIN2 = chain(2)
@@ -73,7 +74,8 @@ def test_masks_outside_the_state_space_are_rejected():
 def test_bool_masks_are_rejected():
     space = three_state_space()
     f = identity_transition(space)
-    for mask in (True, False):
+    # nor is a float a mask
+    for mask in (True, False, np.True_, np.False_, 1.0, 0.0):
         for read in (f.act, space.strongest_property, space.closure):
             with pytest.raises(IndexError, match="out of range"):
                 read(mask)
@@ -82,6 +84,17 @@ def test_bool_masks_are_rejected():
 def test_bool_properties_are_rejected():
     with pytest.raises(UnknownElement):
         ProperStateSpace(("p",), CHAIN2, (True,))
+
+
+@pytest.mark.parametrize("images", [(True, 2), (1, np.True_), (1.0, 2), (1, 4), (-1, 0)])
+def test_images_that_are_no_masks_of_the_states_are_rejected(images):
+    with pytest.raises(ValueError, match="out of range"):
+        TransitionMap(two_state_space(), images)
+
+
+def test_images_may_be_numpy_integers():
+    f = TransitionMap(two_state_space(), (np.int64(1), np.uint8(3)))
+    assert f.act(1) == 1 and f.act(2) == 3
 
 
 def test_strongest_property_and_closure():
@@ -192,7 +205,7 @@ def test_triple_laws_find_one_corrupted_entry_in_the_first_and_last_blocks(table
     space = ProperStateSpace(("p", "q", "r"), CHAIN2, (0, 1, 1))
     tables = dict(zip(("comp", "union"), transition_tables(enumerate_members(space))))
     m = len(tables["comp"])
-    assert m >= 80 and len(_row_blocks(m)) > 2
+    assert m >= 80 and len(_row_blocks(m, m * m)) > 2
     tables[table][corner] = (tables[table][corner] + 1) % m
     laws = _triple_laws(tables["comp"], tables["union"])
     assert laws == brute_triple_laws(tables["comp"], tables["union"])
