@@ -3,7 +3,7 @@
 One binary with subcommands per subsystem plus ``verify`` for the seeded
 law-check suites and ``convert`` for file format conversion. Exit codes:
 0 when all requested laws hold, 1 when a violation or invalid structure
-was found, 2 on usage or parse errors.
+was found, 2 on usage or parse errors and on inputs past a size guard.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cascade as cascade_mod
 from . import jsonio
-from .errors import CompoundnessError, ParseError, UnknownElement, UnknownSuite
+from .errors import CompoundnessError, ParseError, TooLarge, UnknownElement, UnknownSuite
 from .galois import classify_map, enumerate_Q, galois_dual
 from .hilbert import DEFAULT_TOL, join_s, meet_s, ortho_s, sasaki_s, span
 from .lattice import OrthoLattice
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except (ParseError, UnknownSuite, OSError) as exc:
+    except (ParseError, UnknownSuite, TooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CompoundnessError as exc:

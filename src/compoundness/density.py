@@ -73,11 +73,9 @@ class DensityState:
 
     @cached_property
     def _carrier(self) -> Subspace:
+        # the trace is 1 within TRACE_TOL, so the top eigenvalue is near 1/dim or above
         w, v = self._eigh
-        top = float(w[-1])
-        if top <= 0.0:
-            return Subspace.zero(self.dim)
-        return Subspace(v[:, w > DEFAULT_TOL * top])
+        return Subspace(v[:, w > DEFAULT_TOL * w[-1]])
 
 
 def _normalized(m: np.ndarray) -> DensityState:

@@ -63,6 +63,8 @@ def parse_lattice(obj) -> FiniteLattice | OrthoLattice:
         raise ParseError("lattice: 'elements' must be a list of strings")
     if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise ParseError("lattice: 'leq' must be a list of [i, j] pairs of indices or labels")
+    if "ortho" in obj and not isinstance(obj["ortho"], list):
+        raise ParseError("lattice: 'ortho' must be a list of element indices")
     base = build_lattice(elements, [tuple(p) for p in pairs])
     return attach_ortho(base, obj["ortho"]) if "ortho" in obj else base
 
@@ -91,9 +93,10 @@ def parse_join_map(obj) -> JoinMap:
     source = parse_base_lattice(_require(obj, "source", "map"))
     target = parse_base_lattice(_require(obj, "target", "map"))
     table = _require(obj, "table", "map")
-    if len(table) != len(source) or not _indices_ok(table, len(target)):
-        raise ParseError(f"map: 'table' must give one of the {len(target)} target indices "
-                         f"for each of the {len(source)} source elements")
+    if not (isinstance(table, list) and len(table) == len(source)
+            and _indices_ok(table, len(target))):
+        raise ParseError(f"map: 'table' must be a list giving one of the {len(target)} "
+                         f"target indices for each of the {len(source)} source elements")
     return JoinMap(source=source, target=target, table=tuple(table))
 
 
@@ -200,6 +203,8 @@ def parse_space(obj) -> ProperStateSpace:
     c_map = _require(obj, "c_map", "state space")
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise ParseError("state space: 'states' must be a list of strings")
+    if not isinstance(c_map, list):
+        raise ParseError("state space: 'c_map' must be a list of lattice indices")
     return ProperStateSpace(tuple(states), lattice, tuple(c_map))
 
 

@@ -74,14 +74,16 @@ class CompoundOperator:
     def is_zero(self) -> bool:
         return not self.matrix.any()
 
+    def _act(self, x: np.ndarray) -> np.ndarray:
+        """``matrix @ x``, with ``x`` conjugated first when anti-linear."""
+        return self.matrix @ (x.conj() if self.linearity == ANTILINEAR else x)
+
     def apply(self, vector) -> np.ndarray:
         """Apply to a vector; anti-linear operators conjugate first."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
         if v.shape[0] != self.dim_in:
             raise BadShape(f"vector has length {v.shape[0]}, expected {self.dim_in}")
-        if self.linearity == ANTILINEAR:
-            v = v.conj()
-        return self.matrix @ v
+        return self._act(v)
 
     def compose(self, inner: "CompoundOperator") -> "CompoundOperator":
         """self o inner. Two anti-linear factors make a linear composite."""
@@ -90,12 +92,8 @@ class CompoundOperator:
                 f"cannot compose {self.dim_in}->{self.dim_out} after "
                 f"{inner.dim_in}->{inner.dim_out}"
             )
-        if self.linearity == LINEAR:
-            matrix = self.matrix @ inner.matrix
-        else:
-            matrix = self.matrix @ inner.matrix.conj()
         flag = LINEAR if self.linearity == inner.linearity else ANTILINEAR
-        return CompoundOperator(matrix, flag)
+        return CompoundOperator(self._act(inner.matrix), flag)
 
     def adjoint(self) -> "CompoundOperator":
         """Adjoint with the same linearity flag.
@@ -121,8 +119,7 @@ def induced_map(op: CompoundOperator) -> Callable[[Subspace], Subspace]:
             raise DimensionMismatch(
                 f"subspace lives in C^{a.ambient_dim}, operator expects C^{op.dim_in}"
             )
-        frame = a.frame.conj() if op.linearity == ANTILINEAR else a.frame
-        return span(op.matrix @ frame, a.tol)
+        return span(op._act(a.frame), a.tol)
 
     return act
 
@@ -132,7 +129,8 @@ class TensorVector:
     """Coefficients over a pair of orthonormal bases, one per side.
 
     Holds private, read-only copies of the three arrays, so the compound
-    vector :attr:`_state` can be kept.
+    vector :attr:`_state` can be kept. Each basis must be a frame in the
+    sense of :class:`~compoundness.hilbert.Subspace`, which raises BadBasis.
     """
 
     coefficients: np.ndarray
@@ -142,8 +140,8 @@ class TensorVector:
     def __post_init__(self) -> None:
         c = np.array(self.coefficients, dtype=complex).reshape(-1)
         c.setflags(write=False)
-        left = _check_basis(self.left_basis, "left")
-        right = _check_basis(self.right_basis, "right")
+        left = Subspace(self.left_basis).frame
+        right = Subspace(self.right_basis).frame
         if left.shape[1] != c.shape[0] or right.shape[1] != c.shape[0]:
             raise BadBasis(
                 f"{c.shape[0]} coefficients need bases with that many columns, "
@@ -180,14 +178,6 @@ class TensorVector:
         )
 
 
-def _check_basis(basis, name: str) -> np.ndarray:
-    arr = _owned_matrix(basis)
-    gram = arr.conj().T @ arr
-    if gram.shape[0] and np.abs(gram - np.eye(gram.shape[0])).max() > 1e-9:
-        raise BadBasis(f"{name} basis columns are not orthonormal")
-    return arr
-
-
 def from_tensor(tv: TensorVector, linearity: str) -> CompoundOperator:
     """Build the operator sum of c_i times the rank-one term pairing the
     i-th left basis vector with the i-th right basis vector.
@@ -203,11 +193,13 @@ def to_tensor(op: CompoundOperator, left_basis, right_basis) -> TensorVector:
     """Read coefficients of ``op`` off a pair of orthonormal bases.
 
     The bases must diagonalize the operator (a Schmidt pair); otherwise
-    the single-index form cannot represent it and BadBasis is raised.
-    Round-trips with :func:`from_tensor` in the same bases.
+    the single-index form cannot represent it and BadBasis is raised. The
+    residual is measured relative to the norm of ``op``, so ``op`` and any
+    nonzero multiple of it are decided alike. Round-trips with
+    :func:`from_tensor` in the same bases.
     """
-    left = _check_basis(left_basis, "left")
-    right = _check_basis(right_basis, "right")
+    left = Subspace(left_basis).frame
+    right = Subspace(right_basis).frame
     if left.shape[1] != right.shape[1]:
         raise BadBasis("left and right bases must have the same number of columns")
     if left.shape[0] != op.dim_in or right.shape[0] != op.dim_out:
@@ -220,7 +212,7 @@ def to_tensor(op: CompoundOperator, left_basis, right_basis) -> TensorVector:
     c = np.diagonal(coeff_matrix).copy()
     tv = TensorVector(c, left, right)
     residual = np.linalg.norm(from_tensor(tv, op.linearity).matrix - op.matrix)
-    if residual > 1e-9 * max(1.0, float(np.linalg.norm(op.matrix))):
+    if residual > DEFAULT_TOL * hs_norm(op):
         raise BadBasis(
             f"operator is not diagonal over the given bases (residual {residual:.3e})"
         )
@@ -297,12 +289,13 @@ def atomicity_probe(f_op: CompoundOperator, g_op: CompoundOperator, ray_samples:
     Checks, ray by ray, whether span(F v) is contained in span(G v) and
     whether the two spans are equal. A nonzero F that stays strictly below
     G on the samples would be a counterexample to atomicity; the report
-    says whether the samples are consistent with there being none.
+    says whether the samples are consistent with there being none. A
+    vector is zero only when it is exactly zero, and parallelism is judged
+    relative to ``|F v|``, so F and G may be replaced by any nonzero
+    multiples without changing the report.
     """
     if f_op.matrix.shape != g_op.matrix.shape or f_op.linearity != g_op.linearity:
         raise MixedSignatures("operators must share shape and linearity")
-    scale_f = max(1.0, float(np.linalg.norm(f_op.matrix)))
-    scale_g = max(1.0, float(np.linalg.norm(g_op.matrix)))
 
     ordered = True
     equal = True
@@ -311,22 +304,15 @@ def atomicity_probe(f_op: CompoundOperator, g_op: CompoundOperator, ray_samples:
     for _ in range(ray_samples):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
-        fv = f_op.apply(v)
-        gv = g_op.apply(v)
-        f_zero = np.linalg.norm(fv) <= 1e-12 * scale_f
-        g_zero = np.linalg.norm(gv) <= 1e-12 * scale_g
-        if f_zero:
-            ray_equal = g_zero
-            ray_ordered = True
-        elif g_zero:
-            ray_equal = False
-            ray_ordered = False
-        else:
+        fv, gv = f_op._act(v), g_op._act(v)
+        f_nonzero, g_nonzero = fv.any(), gv.any()
+        # span(F v) <= span(G v): F v is zero, or both are nonzero and parallel
+        ray_ordered = not f_nonzero
+        if f_nonzero and g_nonzero:
             ghat = gv / np.linalg.norm(gv)
             residual = np.linalg.norm(fv - ghat * (ghat.conj() @ fv))
-            parallel = residual <= DEFAULT_TOL * np.linalg.norm(fv)
-            ray_equal = parallel
-            ray_ordered = parallel
+            ray_ordered = residual <= DEFAULT_TOL * np.linalg.norm(fv)
+        ray_equal = ray_ordered and f_nonzero == g_nonzero
         if not ray_equal and witness is None:
             witness = v
         equal = equal and bool(ray_equal)

@@ -50,10 +50,14 @@ class ProperStateSpace:
         return len(self.states)
 
     def mask(self, labels: Iterable[str]) -> int:
-        """Bitmask of the subset named by ``labels``."""
+        """Bitmask of the subset named by ``labels``; UnknownElement names
+        a label that is not a state."""
         out = 0
         for label in labels:
-            out |= 1 << self.states.index(label)
+            try:
+                out |= 1 << self.states.index(label)
+            except ValueError:
+                raise UnknownElement(f"no state labelled {label!r}") from None
         return out
 
     def subset_labels(self, mask: int) -> tuple[str, ...]:

@@ -305,6 +305,12 @@ def _count_updates(monkeypatch):
     return calls
 
 
+def test_an_unknown_order_is_refused():
+    op = CompoundOperator(np.eye(2))
+    with pytest.raises(ValueError, match="order must be"):
+        run_cascade(op, ray([1.0, 0.0]), ray([1.0, 0.0]), order="both-at-once")
+
+
 def test_interleaved_orders_and_first_atoms_give_the_traces_of_fresh_operators():
     # One basis for both sides of a square operator, so a left atom and a
     # right atom can have the same frame: only the order tells their heads apart.

@@ -216,6 +216,22 @@ def test_shared_flags_work_after_the_subcommand(files, capsys):
     assert main(["verify", "orthomodular", "--trials", "20", "--tol", "0"]) == 1
 
 
+def test_hilbert_meet_of_one_file_is_a_usage_error(capsys):
+    assert main(["hilbert", "meet", str(DATA / "e1.json")]) == 2
+    assert "needs two subspace files" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    (["galois", "dual"], {"source": _CHAIN2, "target": _CHAIN2, "table": 1}, "table"),
+    (["quantale", "check"], {"states": ["p"], "lattice": _CHAIN2, "c_map": 1}, "c_map"),
+    (["lattice", "check"], dict(_CHAIN2, ortho=1), "ortho"),
+], ids=["table", "c-map", "ortho"])
+def test_a_field_that_is_no_list_is_named(files, capsys, command, payload, field):
+    assert main([*command, files("bad.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{field}' must be a list" in err
+
+
 def test_hilbert_ops(files, capsys):
     e1 = files("e1.json", jsonio.dump_matrix(np.array([[1.0], [0.0]])))
     diag = files("diag.json", jsonio.dump_matrix(np.array([[1.0], [1.0]])))
@@ -251,6 +267,17 @@ def test_compound_probe(files, capsys):
     assert main(["--json", "compound", "probe", f, f, "--samples", "50"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["consistent"] and payload["equal_on_samples"]
+
+
+def test_compound_probe_of_a_tiny_multiple_exits_zero(files, capsys):
+    rng = np.random.default_rng(1)
+    matrix = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    g = files("g.json", jsonio.dump_matrix(matrix))
+    f = files("f.json", jsonio.dump_matrix(1e-13 * matrix))
+    for pair in ((f, g), (g, f)):
+        assert main(["--json", "compound", "probe", *pair, "--samples", "50"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["consistent"] and payload["equal_on_samples"]
 
 
 def test_cascade_run_exit_code_honours_tol(monkeypatch, capsys):
@@ -296,6 +323,16 @@ def test_quantale_check_exits_one_when_any_law_fails(files, capsys, monkeypatch)
     payload = json.loads(capsys.readouterr().out)
     assert payload["right_distributive"] is False
     assert payload["epimorphism_maps"] == 10 and payload["bottom_is_empty"] is True
+
+
+def test_a_size_refusal_is_a_usage_error(files, capsys):
+    mo3 = files("mo3.json", jsonio.dump_lattice(mo(3)))
+    for argv, message in ((["galois", "enumerate", mo3, mo3], "Q has 13376 maps"),
+                          (["quantale", "check", str(DATA / "four-state-space.json")],
+                           "guarded to 350 members, got 22267")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 def test_verify_runs_named_suites(capsys):

@@ -233,6 +233,15 @@ def test_mixed_signatures_rejected():
         map_leq(identity_map(B2), identity_map(CHAIN3))
 
 
+def test_pointwise_join_rejects_an_explicit_lattice_that_disagrees():
+    f = identity_map(B2)
+    with pytest.raises(MixedSignatures, match="explicit source"):
+        pointwise_join([f], source=MO2)
+    with pytest.raises(MixedSignatures, match="explicit target"):
+        pointwise_join([f], target=CHAIN3)
+    assert pointwise_join([f], source=B2, target=B2).table == f.table
+
+
 def test_map_leq_rejects_maps_of_different_kinds():
     f = identity_map(B2)
     with pytest.raises(MixedSignatures):

@@ -116,6 +116,11 @@ def test_span_of_several_columns_keeps_the_frame_of_an_unscaled_svd():
                 assert np.abs(sub.frame - u[:, :rank]).max() <= 1e-15
 
 
+def test_a_negative_tolerance_is_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Subspace(np.eye(2), -1e-9)
+
+
 def test_span_of_one_column_is_zero_for_the_zero_vector_or_tol_at_least_one():
     assert span(np.zeros(3)).dim == 0
     assert _svd_span(np.zeros((3, 1)), 1e-9)[0] == 0

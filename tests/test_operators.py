@@ -223,6 +223,33 @@ def test_to_tensor_rejects_bases_that_do_not_diagonalize():
         to_tensor(op, IDENTITY2, IDENTITY2)
 
 
+SCALES = (1e-13, 1e-6, 1.0, 1e6, 1e13)
+
+
+def test_to_tensor_decides_alike_for_every_multiple_of_an_operator():
+    m = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)  # not diagonal
+    for flag in (LINEAR, ANTILINEAR):
+        schmidt = schmidt_tensor(CompoundOperator(m, flag))
+        for s in SCALES:
+            op = CompoundOperator(s * m, flag)
+            with pytest.raises(BadBasis, match="not diagonal"):
+                to_tensor(op, IDENTITY2, IDENTITY2)
+            tv = to_tensor(op, schmidt.left_basis, schmidt.right_basis)
+            assert np.allclose(tv.coefficients, s * schmidt.coefficients, rtol=1e-12, atol=0)
+
+
+def test_bases_follow_the_subspace_orthonormality_rule():
+    skew = np.column_stack([E1, E1 + E2])
+    nearly = np.eye(2, dtype=complex) + 1e-10  # within 1e-9 of orthonormal
+    for build in (lambda b: TensorVector(np.ones(2), b, IDENTITY2),
+                  lambda b: to_tensor(CompoundOperator(IDENTITY2), IDENTITY2, b)):
+        with pytest.raises(BadBasis, match="frame columns are not orthonormal"):
+            build(skew)
+        build(nearly)
+        with pytest.raises(BadBasis):
+            build(np.eye(2) + 1e-8)
+
+
 def test_schmidt_tensor_reconstructs_any_operator():
     rng = np.random.default_rng(15)
     for flag in (LINEAR, ANTILINEAR):
@@ -362,6 +389,37 @@ def test_probe_scalar_multiples_are_equal_at_the_subspace_level():
     scaled = CompoundOperator((0.2 - 1.3j) * op.matrix)
     report = atomicity_probe(scaled, op, 100, rng=rng)
     assert report.equal_on_samples and report.consistent
+
+
+def _report(report):
+    witness = None if report.witness is None else report.witness.tobytes()
+    return (report.samples, report.ordered_on_samples, report.equal_on_samples,
+            report.zero_operator, report.consistent, witness)
+
+
+def test_probe_report_is_the_same_for_every_multiple_of_either_operator():
+    rng = np.random.default_rng(25)
+    for flag in (LINEAR, ANTILINEAR):
+        g = random_operator(rng, 3, 3, flag)
+        reports = set()
+        for s in SCALES:
+            f = CompoundOperator(s * g.matrix, flag)
+            for first, second in ((f, g), (g, f)):
+                report = atomicity_probe(first, second, 50, rng=np.random.default_rng(7))
+                assert report.equal_on_samples and report.consistent
+                reports.add(_report(report))
+        assert len(reports) == 1
+
+
+def test_probe_zero_is_exact_zero():
+    rng = np.random.default_rng(26)
+    g = random_operator(rng, 3, 3)
+    zero = CompoundOperator(np.zeros((3, 3)))
+    report = atomicity_probe(g, zero, 20, rng=rng)
+    assert not report.ordered_on_samples and not report.equal_on_samples
+    assert report.consistent and report.witness is not None
+    tiny = CompoundOperator(1e-150 * g.matrix)
+    assert atomicity_probe(tiny, g, 20, rng=rng).equal_on_samples
 
 
 def test_probe_finds_witness_for_enlarged_kernel():

@@ -81,6 +81,23 @@ def test_bool_masks_are_rejected():
                 read(mask)
 
 
+def test_unknown_state_labels_are_named():
+    space = two_state_space()
+    with pytest.raises(UnknownElement, match="'zz'"):
+        space.mask(["p", "zz"])
+    with pytest.raises(UnknownElement, match="'zz'"):
+        TransitionMap.from_images(space, [["p"], ["zz"]])
+
+
+def test_transition_tables_refuse_more_than_350_members_or_7_states():
+    space = two_state_space()
+    with pytest.raises(TooLarge, match="350 members, got 351"):
+        transition_tables([identity_transition(space)] * 351)
+    eight = ProperStateSpace(tuple("abcdefgh"), CHAIN2, (1,) * 8)
+    with pytest.raises(TooLarge, match="up to 7 states, got 8"):
+        transition_tables([identity_transition(eight)])
+
+
 def test_bool_properties_are_rejected():
     with pytest.raises(UnknownElement):
         ProperStateSpace(("p",), CHAIN2, (True,))
