@@ -14,7 +14,6 @@ from .errors import (
     BadBasis,
     BadShape,
     CompoundnessError,
-    CrossCheckFailed,
     DimensionMismatch,
     IllDefined,
     MixedSignatures,

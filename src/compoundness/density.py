@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadShape, DimensionMismatch, NotADensity, ZeroVector
-from .hilbert import DEFAULT_TOL, Subspace, _owned_matrix
+from .hilbert import DEFAULT_TOL, Subspace, _owned_matrix, _rank
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -75,7 +75,7 @@ class DensityState:
     def _carrier(self) -> Subspace:
         # the trace is 1 within TRACE_TOL, so the top eigenvalue is near 1/dim or above
         w, v = self._eigh
-        return Subspace(v[:, w > DEFAULT_TOL * w[-1]])
+        return Subspace(v[:, w.size - _rank(w[::-1], DEFAULT_TOL):])
 
 
 def _normalized(m: np.ndarray) -> DensityState:

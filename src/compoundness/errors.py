@@ -80,10 +80,6 @@ class DimensionMismatch(CompoundnessError):
     """Operands live in spaces of different ambient dimension."""
 
 
-class CrossCheckFailed(CompoundnessError):
-    """Two independent computations of the same value disagree."""
-
-
 class NotADensity(CompoundnessError):
     """A matrix fails the density-operator invariants."""
 

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadBasis,
-    BadShape,
-    CrossCheckFailed,
-    DimensionMismatch,
-    NonFinite,
-)
+from .errors import BadBasis, BadShape, DimensionMismatch, NonFinite
 
 DEFAULT_TOL = 1e-9
 
@@ -34,6 +28,21 @@ def _as_complex_matrix(a) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFinite("matrix contains NaN or infinite entries")
     return arr
+
+
+def _scaled(a: np.ndarray) -> np.ndarray:
+    """``a`` times the power of two that brings its largest real or imaginary
+    part into [1/2, 1); zero stays zero. Norms of the result neither
+    underflow nor overflow, and the scaling is exact for every entry above
+    2^-1022 times the largest."""
+    x = np.ascontiguousarray(a, dtype=complex).view(float)
+    return np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1]).view(complex)
+
+
+def _rank(s: np.ndarray, tol: float) -> int:
+    """The number of descending values ``s`` above ``tol`` times the largest
+    (0 when the largest is 0): the one rank rule of the Hilbert lattice."""
+    return int(np.count_nonzero(s > tol * s[0]))
 
 
 def _owned_matrix(a) -> np.ndarray:
@@ -90,24 +99,18 @@ class Subspace:
 
     def leq(self, other: "Subspace") -> bool:
         """Containment: self is a subspace of other, within tolerance."""
-        tol = _shared_tol(self, other)
+        bound = _comparison_bound(self, other)
         p, q = self.projector(), other.projector()
-        return bool(np.linalg.norm(q @ p - p) <= tol * max(1.0, self.ambient_dim))
+        return bool(np.linalg.norm(q @ p - p) <= bound)
 
     def approx_equal(self, other: "Subspace") -> bool:
-        tol = _shared_tol(self, other)
-        return bool(
-            np.linalg.norm(self.projector() - other.projector())
-            <= tol * max(1.0, self.ambient_dim)
-        )
+        bound = _comparison_bound(self, other)
+        return bool(np.linalg.norm(self.projector() - other.projector()) <= bound)
 
     def perp(self, other: "Subspace") -> bool:
         """Whether the two subspaces are orthogonal."""
-        tol = _shared_tol(self, other)
-        return bool(
-            np.linalg.norm(self.frame.conj().T @ other.frame)
-            <= tol * max(1.0, self.ambient_dim)
-        )
+        bound = _comparison_bound(self, other)
+        return bool(np.linalg.norm(self.frame.conj().T @ other.frame) <= bound)
 
 
 def _shared_tol(a: Subspace, b: Subspace) -> float:
@@ -119,30 +122,33 @@ def _shared_tol(a: Subspace, b: Subspace) -> float:
     return max(a.tol, b.tol)
 
 
+def _comparison_bound(a: Subspace, b: Subspace) -> float:
+    """The Frobenius-norm bound of ``leq``, ``approx_equal`` and ``perp``:
+    the pair's shared tolerance times max(1, ambient dimension)."""
+    return _shared_tol(a, b) * max(1.0, a.ambient_dim)
+
+
 def span(vectors, tol: float = DEFAULT_TOL) -> Subspace:
     """Orthonormalize the column span of ``vectors``.
 
-    Rank is the number of singular values above ``tol`` times the largest
-    one; an empty matrix spans the zero subspace. The matrix is first scaled
-    by a power of two from its largest real or imaginary part, so that the
-    largest singular value neither underflows nor overflows. One column
-    needs no SVD: its norm s is its only singular value (a ray iff s > tol * s).
+    Rank is decided by :func:`_rank` on the singular values; an empty matrix
+    spans the zero subspace. The matrix is first brought to unit scale by
+    :func:`_scaled`, so that the largest singular value neither underflows
+    nor overflows. One column needs no SVD: its norm s is its only singular
+    value (a ray iff s > tol * s).
     """
     arr = _as_complex_matrix(vectors)
     if arr.size == 0:
         return Subspace.zero(arr.shape[0], tol)
-    x = np.ascontiguousarray(arr).view(float)
-    x = np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
+    x = _scaled(arr)
     if arr.shape[1] == 1:
-        s = math.sqrt(np.vdot(x, x))
+        r = x.view(float)
+        s = math.sqrt(np.vdot(r, r))
         if not s > tol * s:
             return Subspace.zero(arr.shape[0], tol)
-        return Subspace(x.view(complex) / s, tol)
-    u, s, _ = np.linalg.svd(x.view(complex), full_matrices=False)
-    if s[0] <= 0.0:
-        return Subspace.zero(arr.shape[0], tol)
-    rank = int(np.sum(s > tol * s[0]))
-    return Subspace(u[:, :rank], tol)
+        return Subspace(x / s, tol)
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    return Subspace(u[:, :_rank(s, tol)], tol)
 
 
 def ray(vector, tol: float = DEFAULT_TOL) -> Subspace:
@@ -176,35 +182,23 @@ def join_s(a: Subspace, b: Subspace) -> Subspace:
 
 
 def meet_s(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, computed as the kernel of (I - P_a) + (I - P_b)."""
-    tol = _shared_tol(a, b)
-    n = a.ambient_dim
-    m = 2.0 * np.eye(n) - a.projector() - b.projector()
-    w, v = np.linalg.eigh(m)
-    cutoff = tol * max(1.0, float(w[-1])) if w.size else tol
-    keep = w < cutoff
-    if not keep.any():
-        return Subspace.zero(n, tol)
-    return Subspace(v[:, keep], tol)
+    """Intersection, from the null vectors (x, y) of the matrix [F_a F_b]
+    that :func:`join_s` spans: each gives F_a x = -F_b y.
 
-
-def _sasaki_sides(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
-    """The two sides of :func:`sasaki_s`'s cross-check: (formula, image)."""
+    The rank of [F_a F_b] is decided by :func:`_rank`, as in ``join_s``, so
+    dim(a \\/ b) + dim(a /\\ b) = dim a + dim b.
+    """
     tol = _shared_tol(a, b)
-    return meet_s(a, join_s(b, ortho_s(a))), span(a.projector() @ b.frame, tol)
+    if not (a.dim and b.dim):
+        return Subspace.zero(a.ambient_dim, tol)
+    stacked = np.hstack([a.frame, b.frame])
+    _, s, vh = np.linalg.svd(stacked)
+    rank = _rank(s, tol)
+    if rank == stacked.shape[1]:
+        return Subspace.zero(a.ambient_dim, tol)
+    return span(a.frame @ vh[rank:, :a.dim].conj().T, tol)
 
 
 def sasaki_s(a: Subspace, b: Subspace) -> Subspace:
-    """Sasaki projection of ``b`` onto ``a``, cross-checked two ways.
-
-    The lattice formula a /\\ (b \\/ a') and the image of b's frame under
-    the projector onto a must agree within tolerance; disagreement raises
-    CrossCheckFailed, signalling a tolerance problem.
-    """
-    by_formula, by_image = _sasaki_sides(a, b)
-    if not by_formula.approx_equal(by_image):
-        gap = np.linalg.norm(by_formula.projector() - by_image.projector())
-        raise CrossCheckFailed(
-            f"sasaki formula and projector image disagree by {gap:.3e}"
-        )
-    return by_image
+    """Sasaki projection of ``b`` onto ``a``: the lattice formula a /\\ (b \\/ a')."""
+    return meet_s(a, join_s(b, ortho_s(a)))

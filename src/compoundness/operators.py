@@ -31,7 +31,7 @@ from .errors import (
     NonFinite,
     ZeroOperator,
 )
-from .hilbert import DEFAULT_TOL, Subspace, _owned_matrix, span
+from .hilbert import DEFAULT_TOL, Subspace, _owned_matrix, _scaled, span
 
 LINEAR = "linear"
 ANTILINEAR = "antilinear"
@@ -194,9 +194,10 @@ def to_tensor(op: CompoundOperator, left_basis, right_basis) -> TensorVector:
 
     The bases must diagonalize the operator (a Schmidt pair); otherwise
     the single-index form cannot represent it and BadBasis is raised. The
-    residual is measured relative to the norm of ``op``, so ``op`` and any
-    nonzero multiple of it are decided alike. Round-trips with
-    :func:`from_tensor` in the same bases.
+    residual is measured relative to the norm of ``op``, with both brought
+    to unit scale by one power of two, so ``op`` and any nonzero multiple
+    of it are decided alike. Round-trips with :func:`from_tensor` in the
+    same bases.
     """
     left = Subspace(left_basis).frame
     right = Subspace(right_basis).frame
@@ -211,10 +212,13 @@ def to_tensor(op: CompoundOperator, left_basis, right_basis) -> TensorVector:
     coeff_matrix = right.conj().T @ op.matrix @ source
     c = np.diagonal(coeff_matrix).copy()
     tv = TensorVector(c, left, right)
-    residual = np.linalg.norm(from_tensor(tv, op.linearity).matrix - op.matrix)
-    if residual > DEFAULT_TOL * hs_norm(op):
+    diff, m = _scaled(np.array([from_tensor(tv, op.linearity).matrix - op.matrix,
+                                op.matrix]))
+    residual, norm = np.linalg.norm(diff), np.linalg.norm(m)
+    if residual > DEFAULT_TOL * norm:
         raise BadBasis(
-            f"operator is not diagonal over the given bases (residual {residual:.3e})"
+            f"operator is not diagonal over the given bases "
+            f"(relative residual {residual / norm:.3e})"
         )
     return tv
 
@@ -291,8 +295,9 @@ def atomicity_probe(f_op: CompoundOperator, g_op: CompoundOperator, ray_samples:
     G on the samples would be a counterexample to atomicity; the report
     says whether the samples are consistent with there being none. A
     vector is zero only when it is exactly zero, and parallelism is judged
-    relative to ``|F v|``, so F and G may be replaced by any nonzero
-    multiples without changing the report.
+    relative to ``|F v|`` after F v and G v are brought to unit scale by
+    powers of two, so F and G may be replaced by any nonzero multiples
+    without changing the report.
     """
     if f_op.matrix.shape != g_op.matrix.shape or f_op.linearity != g_op.linearity:
         raise MixedSignatures("operators must share shape and linearity")
@@ -304,7 +309,7 @@ def atomicity_probe(f_op: CompoundOperator, g_op: CompoundOperator, ray_samples:
     for _ in range(ray_samples):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
-        fv, gv = f_op._act(v), g_op._act(v)
+        fv, gv = _scaled(f_op._act(v)), _scaled(g_op._act(v))
         f_nonzero, g_nonzero = fv.any(), gv.any()
         # span(F v) <= span(G v): F v is zero, or both are nonzero and parallel
         ray_ordered = not f_nonzero

@@ -245,6 +245,15 @@ def test_hilbert_ops(files, capsys):
     assert abs(abs(frame[1, 0]) - 1.0) < 1e-12
 
 
+def test_hilbert_meet_and_join_of_a_ray_near_e1_decide_one_rank(capsys):
+    # a ray 1e-6 off e1 is independent of e1 for join and for meet alike
+    e1, near = str(DATA / "e1.json"), str(DATA / "near-e1-ray.json")
+    assert main(["--json", "hilbert", "meet", e1, near]) == 0
+    assert json.loads(capsys.readouterr().out)["cols"] == 0
+    assert main(["--json", "hilbert", "join", e1, near]) == 0
+    assert json.loads(capsys.readouterr().out)["cols"] == 2
+
+
 def test_compound_quadruple_and_tensor(files, capsys):
     op = jsonio.dump_operator(
         __import__("compoundness").CompoundOperator(np.eye(2) / np.sqrt(2))

@@ -5,14 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from compoundness.errors import (
-    BadShape,
-    CrossCheckFailed,
-    DimensionMismatch,
-    NonFinite,
-)
+from compoundness.errors import BadShape, DimensionMismatch, NonFinite
 from compoundness.hilbert import (
     Subspace,
+    _rank,
     join_s,
     meet_s,
     ortho_s,
@@ -201,14 +197,19 @@ def test_sasaki_of_orthogonal_rays_is_zero():
     assert sasaki_s(ray(E1), ray(E2)).dim == 0
 
 
-def test_sasaki_cross_check_rejects_inconsistent_tolerance():
+def _projected(a, b):
+    """span(P_a F_b): the Sasaki projection as an image, independent of meet and join."""
+    return span(a.projector() @ b.frame, max(a.tol, b.tol))
+
+
+def test_sasaki_cross_check_at_a_tolerance_coarser_than_the_angle():
     # a tolerance coarser than the angle between the spaces makes the
-    # formula route drop a component the image route keeps
+    # formula drop a component the image keeps; sasaki_s is the formula
     eps = 1e-6
     a = ray(E1, tol=1e-3)
     b = ray(eps * E1 + E2, tol=1e-3)
-    with pytest.raises(CrossCheckFailed):
-        sasaki_s(a, b)
+    assert sasaki_s(a, b).dim == 0
+    assert _projected(a, b).approx_equal(ray(E1))
 
 
 def test_subspace_frame_must_be_orthonormal():
@@ -281,7 +282,72 @@ def test_sasaki_cross_check_on_random_subspaces():
         dim = int(rng.integers(2, 5))
         a = random_subspace(rng, dim)
         b = random_subspace(rng, dim)
-        sasaki_s(a, b)  # raises CrossCheckFailed on divergence
+        assert sasaki_s(a, b).approx_equal(_projected(a, b))
+
+
+# -- one rank rule for meet and join ---------------------------------------------
+
+
+def test_rank_counts_values_above_tol_times_the_largest():
+    assert _rank(np.array([2.0, 1.0, 3e-9, 2e-9]), 1e-9) == 3
+    assert _rank(np.array([1.0, 1.0]), 0.0) == 2
+    assert _rank(np.zeros(3), 1e-9) == 0
+
+
+def _tilted(rng, tilt):
+    """(a, b) in C^2..C^4: b's first columns are some of a's frame columns,
+    each tilted by ``tilt`` towards a random direction; the rest are random."""
+    n = int(rng.integers(2, 5))
+    frame = random_unitary(rng, n)
+    ra, rb = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+    shared = int(rng.integers(1, min(ra, rb) + 1))
+    b = rng.standard_normal((n, rb)) + 1j * rng.standard_normal((n, rb))
+    push = b[:, :shared] / np.linalg.norm(b[:, :shared], axis=0)
+    b[:, :shared] = frame[:, :shared] + tilt * push
+    return span(frame[:, :ra]), span(b)
+
+
+@pytest.mark.parametrize("low, high, seed", [(1e-10, 1e-3, 5), (1e-9, 3e-9, 6)],
+                         ids=["tilts-1e-10-to-1e-3", "across-the-rank-boundary"])
+def test_meet_and_join_keep_the_dimension_formula_and_the_order_on_tilted_pairs(
+        low, high, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(400):
+        tilt = float(np.exp(rng.uniform(np.log(low), np.log(high))))
+        a, b = _tilted(rng, tilt)
+        met, joined = meet_s(a, b), join_s(a, b)
+        where = f"tilt={tilt:.2e} dims=({a.dim},{b.dim}) in C^{a.ambient_dim}"
+        assert met.dim + joined.dim == a.dim + b.dim, where
+        assert met.leq(a) and met.leq(b), where
+        assert a.leq(joined) and b.leq(joined), where
+
+
+def _rays_at(theta):
+    return ray(E1), ray(np.cos(theta) * E1 + np.sin(theta) * E2)
+
+
+def test_the_rank_boundary_of_two_rays_is_the_same_for_span_join_and_meet():
+    # at the default tol two unit rays at angle theta are one ray up to
+    # theta = 2e-9 (s_min / s_max is about theta / 2), and a plane beyond
+    a, b = _rays_at(1.8e-9)
+    assert span(np.hstack([a.frame, b.frame])).dim == 1
+    assert join_s(a, b).dim == 1
+    met = meet_s(a, b)
+    assert met.dim == 1 and met.leq(a) and met.leq(b)
+    for theta in (2.2e-9, *np.geomspace(1e-8, 3e-5, 6)):
+        a, b = _rays_at(theta)
+        assert span(np.hstack([a.frame, b.frame])).dim == 2, theta
+        assert join_s(a, b).dim == 2, theta
+        assert meet_s(a, b).dim == 0, theta
+
+
+def test_planes_in_three_dims_at_a_small_angle_meet_in_their_shared_ray():
+    e1, e2, e3 = np.eye(3, dtype=complex)
+    a = span(np.column_stack([e1, e2]))
+    b = span(np.column_stack([e1, e2 + 1e-6 * e3]))
+    met = meet_s(a, b)
+    assert met.dim == 1 and met.approx_equal(ray(e1))
+    assert join_s(a, b).dim == 3
 
 
 def test_distributivity_fails_in_the_plane():

@@ -223,7 +223,8 @@ def test_to_tensor_rejects_bases_that_do_not_diagonalize():
         to_tensor(op, IDENTITY2, IDENTITY2)
 
 
-SCALES = (1e-13, 1e-6, 1.0, 1e6, 1e13)
+# at 1e±300, 1e±170 and 1e160 a norm of F v or of M would over- or underflow unscaled
+SCALES = (1e-300, 1e-170, 1e-13, 1e-6, 1.0, 1e6, 1e13, 1e160, 1e170, 1e300)
 
 
 def test_to_tensor_decides_alike_for_every_multiple_of_an_operator():
@@ -409,6 +410,16 @@ def test_probe_report_is_the_same_for_every_multiple_of_either_operator():
                 assert report.equal_on_samples and report.consistent
                 reports.add(_report(report))
         assert len(reports) == 1
+
+
+def test_probe_orders_no_multiple_of_an_unrelated_operator():
+    rng = np.random.default_rng(27)
+    for flag in (LINEAR, ANTILINEAR):
+        f, g = random_operator(rng, 3, 3, flag), random_operator(rng, 3, 3, flag)
+        for s in SCALES:
+            report = atomicity_probe(CompoundOperator(s * f.matrix, flag), g, 20,
+                                     rng=np.random.default_rng(7))
+            assert not report.ordered_on_samples and not report.equal_on_samples
 
 
 def test_probe_zero_is_exact_zero():
