@@ -11,13 +11,15 @@ explicit Kronecker construction.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import DensityState, _update, carrier, lueders
 from .errors import BadShape, DimensionMismatch, ZeroOperator, ZeroVector
-from .hilbert import DEFAULT_TOL, Subspace, sasaki_s
+from .hilbert import DEFAULT_TOL, Subspace, _scaled, sasaki_s
 from .operators import CompoundOperator, TensorVector, induced_map
 from .reporting import LawRecorder
 from .sampling import (
@@ -146,7 +148,9 @@ def born_probability(tv: TensorVector, psi, phi) -> float:
     compound state sum_i c_i psi_i x phi_i and its squared norm are built
     once per tensor vector and cached on it (one d1*d2 vector); each call
     builds only psi x phi, as the flattened outer product (the same
-    products as ``np.kron`` on vectors).
+    products as ``np.kron`` on vectors). When a squared norm or their
+    product is not a normal float, all three vectors are first brought to
+    unit scale by powers of two, so nonzero multiples agree within rounding.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
@@ -154,15 +158,17 @@ def born_probability(tv: TensorVector, psi, phi) -> float:
         raise ZeroVector("measurement outcomes must be nonzero vectors")
     if psi.shape[0] != tv.left_basis.shape[0] or phi.shape[0] != tv.right_basis.shape[0]:
         raise DimensionMismatch("outcome vectors do not match the state's spaces")
-    norm2 = tv._state_norm2
-    if norm2 == 0.0:
-        raise ZeroOperator("the compound state has zero norm")
-    outcome = np.outer(psi, phi).ravel()
-    overlap = np.vdot(outcome, tv._state)
-    value = float(abs(overlap) ** 2) / (
-        float(np.vdot(psi, psi).real) * float(np.vdot(phi, phi).real) * norm2
-    )
-    return min(max(value, 0.0), 1.0)
+    state = tv._state
+    norms = (float(np.vdot(psi, psi).real), float(np.vdot(phi, phi).real), tv._state_norm2)
+    denominator = math.prod(norms)
+    if not (sys.float_info.min <= min(*norms, denominator) and denominator < math.inf):
+        psi, phi, state = _scaled(psi), _scaled(phi), _scaled(state)
+        norms = tuple(float(np.vdot(v, v).real) for v in (psi, phi, state))
+        if norms[2] == 0.0:
+            raise ZeroOperator("the compound state has zero norm")
+        denominator = math.prod(norms)
+    overlap = np.vdot(np.outer(psi, phi).ravel(), state)
+    return min(max(float(abs(overlap) ** 2) / denominator, 0.0), 1.0)
 
 
 def chain_order_check(trace: CascadeTrace) -> bool:

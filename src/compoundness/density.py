@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadShape, DimensionMismatch, NotADensity, ZeroVector
-from .hilbert import DEFAULT_TOL, Subspace, _owned_matrix, _rank
+from .hilbert import DEFAULT_TOL, Subspace, _owned_matrix, _rank, span
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -53,12 +53,11 @@ class DensityState:
 
     @classmethod
     def pure(cls, vector) -> "DensityState":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
+        """The projector onto span(vector), which must be a ray."""
+        f = span(np.asarray(vector, dtype=complex).reshape(-1)).frame
+        if not f.shape[1]:
             raise ZeroVector("cannot build a pure state from the zero vector")
-        v = v / norm
-        return cls(np.outer(v, v.conj()))
+        return cls(f @ f.conj().T)
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityState":

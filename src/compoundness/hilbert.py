@@ -57,9 +57,9 @@ class Subspace:
     """A subspace stored as an orthonormal frame.
 
     The zero subspace has a frame with zero columns, which keeps the
-    orthonormality invariant meaningful. Equality and containment are
-    decided on projectors, within ``tol`` in Frobenius norm. The frame is
-    a private, read-only copy of the array passed in.
+    orthonormality invariant meaningful. Containment is decided on projectors,
+    within ``tol`` in Frobenius norm, and equality is containment both ways.
+    The frame is a private, read-only copy of the array passed in.
     """
 
     frame: np.ndarray
@@ -104,8 +104,8 @@ class Subspace:
         return bool(np.linalg.norm(q @ p - p) <= bound)
 
     def approx_equal(self, other: "Subspace") -> bool:
-        bound = _comparison_bound(self, other)
-        return bool(np.linalg.norm(self.projector() - other.projector()) <= bound)
+        """Equality: each subspace is contained in the other."""
+        return self.leq(other) and other.leq(self)
 
     def perp(self, other: "Subspace") -> bool:
         """Whether the two subspaces are orthogonal."""
@@ -123,7 +123,7 @@ def _shared_tol(a: Subspace, b: Subspace) -> float:
 
 
 def _comparison_bound(a: Subspace, b: Subspace) -> float:
-    """The Frobenius-norm bound of ``leq``, ``approx_equal`` and ``perp``:
+    """The Frobenius-norm bound of ``leq`` and ``perp``:
     the pair's shared tolerance times max(1, ambient dimension)."""
     return _shared_tol(a, b) * max(1.0, a.ambient_dim)
 
@@ -182,11 +182,14 @@ def join_s(a: Subspace, b: Subspace) -> Subspace:
 
 
 def meet_s(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, from the null vectors (x, y) of the matrix [F_a F_b]
-    that :func:`join_s` spans: each gives F_a x = -F_b y.
+    """Intersection, from the null vectors Z = [X; Y] of the matrix [F_a F_b]
+    that :func:`join_s` spans: each column gives F_a x = -F_b y.
 
-    The rank of [F_a F_b] is decided by :func:`_rank`, as in ``join_s``, so
-    dim(a \\/ b) + dim(a /\\ b) = dim a + dim b.
+    The rank of [F_a F_b] is decided once, by :func:`_rank` as in ``join_s``,
+    so dim(a \\/ b) + dim(a /\\ b) = dim a + dim b (the meet is zero at full
+    rank or rank 0). The frame is W = F_a X - F_b Y, column-normalized:
+    W^H W = 2I - diag(s^2) for the singular values s of Z, so its columns
+    are orthogonal and lie between a and b.
     """
     tol = _shared_tol(a, b)
     if not (a.dim and b.dim):
@@ -194,9 +197,10 @@ def meet_s(a: Subspace, b: Subspace) -> Subspace:
     stacked = np.hstack([a.frame, b.frame])
     _, s, vh = np.linalg.svd(stacked)
     rank = _rank(s, tol)
-    if rank == stacked.shape[1]:
+    if rank in (0, stacked.shape[1]):
         return Subspace.zero(a.ambient_dim, tol)
-    return span(a.frame @ vh[rank:, :a.dim].conj().T, tol)
+    w = a.frame @ vh[rank:, :a.dim].conj().T - b.frame @ vh[rank:, a.dim:].conj().T
+    return Subspace(w / np.linalg.norm(w, axis=0), tol)
 
 
 def sasaki_s(a: Subspace, b: Subspace) -> Subspace:

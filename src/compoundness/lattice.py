@@ -274,11 +274,7 @@ def build_lattice(elements: Sequence[str], leq_pairs: Iterable[tuple]) -> Finite
     validation. Cycles therefore surface as antisymmetry failures.
     """
     labels = tuple(str(e) for e in elements)
-    if len(set(labels)) != len(labels):
-        raise ValueError("element labels must be distinct")
     n = len(labels)
-    if n == 0:
-        raise NoBounds("an empty element list has no bottom or top")
 
     def resolve(entry) -> int:
         if entry in labels:

@@ -253,14 +253,15 @@ def quadruple(op: CompoundOperator) -> Quadruple:
     """Unpack an operator state into (F, F'F/Tr, FF'/Tr, F').
 
     The two middle entries are the trace-normalized reduced proper states
-    of the two sides; both are valid density operators for any nonzero F.
+    of the two sides, formed from F brought to unit scale by a power of two:
+    valid density operators for every nonzero multiple of F, equal within rounding.
     """
     if op.is_zero():
         raise ZeroOperator("the zero operator has no associated proper states")
-    adj = op.adjoint()
-    rho1 = _normalized(adj.compose(op).matrix)
-    rho2 = _normalized(op.compose(adj).matrix)
-    return Quadruple(op, rho1, rho2, adj)
+    unit = CompoundOperator(_scaled(op.matrix), op.linearity)
+    adj = unit.adjoint()
+    return Quadruple(op, _normalized(adj._act(unit.matrix)),
+                     _normalized(unit._act(adj.matrix)), op.adjoint())
 
 
 @dataclass(frozen=True)
@@ -290,14 +291,13 @@ def atomicity_probe(f_op: CompoundOperator, g_op: CompoundOperator, ray_samples:
                     rng: np.random.Generator) -> AtomicityReport:
     """Sample rays and compare the induced maps of two operators.
 
-    Checks, ray by ray, whether span(F v) is contained in span(G v) and
-    whether the two spans are equal. A nonzero F that stays strictly below
-    G on the samples would be a counterexample to atomicity; the report
-    says whether the samples are consistent with there being none. A
-    vector is zero only when it is exactly zero, and parallelism is judged
-    relative to ``|F v|`` after F v and G v are brought to unit scale by
-    powers of two, so F and G may be replaced by any nonzero multiples
-    without changing the report.
+    Checks, ray by ray, whether span(F v) is contained in span(G v) by
+    :meth:`~compoundness.hilbert.Subspace.leq`, and whether the two spans
+    are equal: ordered and of the same dimension. A nonzero F that stays
+    strictly below G on the samples would be a counterexample to
+    atomicity; the report says whether the samples are consistent with
+    there being none. ``span`` brings each image to unit scale, so F and G
+    may be replaced by any nonzero multiples without changing the report.
     """
     if f_op.matrix.shape != g_op.matrix.shape or f_op.linearity != g_op.linearity:
         raise MixedSignatures("operators must share shape and linearity")
@@ -309,19 +309,13 @@ def atomicity_probe(f_op: CompoundOperator, g_op: CompoundOperator, ray_samples:
     for _ in range(ray_samples):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
-        fv, gv = _scaled(f_op._act(v)), _scaled(g_op._act(v))
-        f_nonzero, g_nonzero = fv.any(), gv.any()
-        # span(F v) <= span(G v): F v is zero, or both are nonzero and parallel
-        ray_ordered = not f_nonzero
-        if f_nonzero and g_nonzero:
-            ghat = gv / np.linalg.norm(gv)
-            residual = np.linalg.norm(fv - ghat * (ghat.conj() @ fv))
-            ray_ordered = residual <= DEFAULT_TOL * np.linalg.norm(fv)
-        ray_equal = ray_ordered and f_nonzero == g_nonzero
+        fv, gv = span(f_op._act(v)), span(g_op._act(v))
+        ray_ordered = fv.leq(gv)
+        ray_equal = ray_ordered and fv.dim == gv.dim
         if not ray_equal and witness is None:
             witness = v
-        equal = equal and bool(ray_equal)
-        ordered = ordered and bool(ray_ordered)
+        equal = equal and ray_equal
+        ordered = ordered and ray_ordered
     return AtomicityReport(
         samples=ray_samples,
         ordered_on_samples=ordered,

@@ -24,7 +24,7 @@ from compoundness.density import (
     transition_probability,
 )
 from compoundness.errors import BadShape, NotADensity, ZeroOperator, ZeroVector
-from compoundness.hilbert import Subspace, ortho_s, ray, span
+from compoundness.hilbert import Subspace, ortho_s, ray, sasaki_s, span
 from compoundness.operators import (
     ANTILINEAR,
     LINEAR,
@@ -48,6 +48,15 @@ IDENTITY2 = np.eye(2, dtype=complex)
 
 
 # -- density states ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e170, 1e200, 1e300])
+def test_pure_state_is_the_projector_onto_the_ray_at_any_scale(scale):
+    rho = DensityState.pure([scale, scale])
+    assert np.abs(rho.matrix - 0.5).max() <= 1e-15
+    assert carrier(rho).approx_equal(ray(E1 + E2))
+    with pytest.raises(ZeroVector):
+        DensityState.pure([0.0, 0.0])
 
 
 def test_density_validation_rejects_bad_matrices():
@@ -442,6 +451,23 @@ def test_born_state_is_built_once_and_gives_the_per_call_construction_bits():
             assert born_probability(tv, psi, phi) == min(max(value, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+def test_born_is_scale_free_in_the_outcomes_and_the_state(scale):
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        d1, d2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        tv = random_tensor_vector(rng, d1, d2, int(rng.integers(1, min(d1, d2) + 1)))
+        psi, phi = random_state_vector(rng, d1), random_state_vector(rng, d2)
+        base = born_probability(tv, psi, phi)
+        scaled_tv = TensorVector(scale * tv.coefficients, tv.left_basis, tv.right_basis)
+        for args in ((tv, scale * psi, phi), (tv, psi, scale * phi),
+                     (tv, scale * psi, scale * phi), (scaled_tv, psi, phi),
+                     (scaled_tv, scale * psi, phi / scale)):
+            assert born_probability(*args) == pytest.approx(base, abs=1e-14)
+    anticorrelated = TensorVector(np.array([1, -1]) / np.sqrt(2), IDENTITY2, IDENTITY2)
+    assert born_probability(anticorrelated, scale * E1, E1) == pytest.approx(0.5, abs=1e-15)
+
+
 def test_born_matches_direct_kronecker_computation():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -629,3 +655,21 @@ def test_update_law_report_records_failures_under_impossible_tolerance():
     report = check_prop2(2, 20, rng=np.random.default_rng(13), tol=0.0)
     assert not report.ok  # float noise alone must trip an exact tolerance
     assert report.max_discrepancy > 0.0
+
+
+@pytest.mark.parametrize("delta, updated, by_formula", [
+    (5e-13, False, 0),  # at or below ORTHOGONAL_CUTOFF: no update
+    (5e-10, True, 0),   # the band: the carrier drops the weight the update keeps
+    (2e-9, True, 1),    # above DEFAULT_TOL: both sides are the ray
+])
+def test_carrier_bridge_band_between_the_cutoff_and_the_carrier_tolerance(
+        delta, updated, by_formula):
+    # check_prop2 compares carrier(lueders(rho, a)) with sasaki_s(a, carrier(rho))
+    # only when p > 0.05, so its carrier-bridge law never meets this band
+    rho = DensityState(np.diag([1 - delta, delta]).astype(complex))
+    a = ray(E2)
+    post = lueders(rho, a)
+    assert (post is not None) == updated
+    if updated:
+        assert carrier(post).approx_equal(a)
+    assert sasaki_s(a, carrier(rho)).dim == by_formula

@@ -314,6 +314,14 @@ def test_cascade_run_matches_born(files, capsys):
     assert payload["born_probability"] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_cascade_run_with_a_tiny_outcome_vector_matches_born(capsys):
+    assert main(["--json", "cascade", "run", "--state", str(DATA / "anticorrelated-pair.json"),
+                 "--left", str(DATA / "tiny-e1.json"), "--right", str(DATA / "e1.json")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["born_probability"] == pytest.approx(0.5, abs=1e-12)
+    assert payload["joint_probability"] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_quantale_check_and_epi(files, capsys):
     space = ProperStateSpace(("p", "q"), chain(2), (1, 1))
     path = files("space.json", jsonio.dump_space(space))

@@ -7,6 +7,7 @@ import pytest
 
 from compoundness.errors import BadShape, DimensionMismatch, NonFinite
 from compoundness.hilbert import (
+    DEFAULT_TOL,
     Subspace,
     _rank,
     join_s,
@@ -229,6 +230,16 @@ def test_span_is_frame_invariant():
         assert sub.approx_equal(again)
 
 
+def test_equality_is_containment_both_ways():
+    # rays 1.5e-9 apart in C^2: each is below the other within 2e-9 (the gap
+    # is 1.5e-9), while their projectors differ by sqrt(2) times that
+    a, b = ray(E1), ray(E1 + 1.5e-9 * E2)
+    assert a.leq(b) and b.leq(a)
+    assert a.approx_equal(b) and b.approx_equal(a)
+    far = ray(E1 + 3e-9 * E2)
+    assert not a.leq(far) and not a.approx_equal(far)
+
+
 def test_leq_and_perp():
     assert ray(E1).leq(Subspace.full(2))
     assert not Subspace.full(2).leq(ray(E1))
@@ -294,9 +305,10 @@ def test_rank_counts_values_above_tol_times_the_largest():
     assert _rank(np.zeros(3), 1e-9) == 0
 
 
-def _tilted(rng, tilt):
-    """(a, b) in C^2..C^4: b's first columns are some of a's frame columns,
-    each tilted by ``tilt`` towards a random direction; the rest are random."""
+def _tilted(rng, tilt, tol=DEFAULT_TOL):
+    """(a, b) in C^2..C^4 at ``tol``: b's first columns are some of a's frame
+    columns, each tilted by ``tilt`` towards a random direction; the rest
+    are random."""
     n = int(rng.integers(2, 5))
     frame = random_unitary(rng, n)
     ra, rb = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
@@ -304,7 +316,7 @@ def _tilted(rng, tilt):
     b = rng.standard_normal((n, rb)) + 1j * rng.standard_normal((n, rb))
     push = b[:, :shared] / np.linalg.norm(b[:, :shared], axis=0)
     b[:, :shared] = frame[:, :shared] + tilt * push
-    return span(frame[:, :ra]), span(b)
+    return span(frame[:, :ra], tol), span(b, tol)
 
 
 @pytest.mark.parametrize("low, high, seed", [(1e-10, 1e-3, 5), (1e-9, 3e-9, 6)],
@@ -320,6 +332,29 @@ def test_meet_and_join_keep_the_dimension_formula_and_the_order_on_tilted_pairs(
         assert met.dim + joined.dim == a.dim + b.dim, where
         assert met.leq(a) and met.leq(b), where
         assert a.leq(joined) and b.leq(joined), where
+
+
+@pytest.mark.parametrize("tol", [0.75, 0.9, 0.99])
+def test_meet_and_join_keep_the_dimension_formula_and_the_order_at_coarse_tol(tol):
+    # the meet decides its rank once, from the singular values of [F_a F_b]
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        tilt = float(np.exp(rng.uniform(np.log(1e-2), np.log(3.0))))
+        a, b = _tilted(rng, tilt, tol)
+        met, joined = meet_s(a, b), join_s(a, b)
+        where = f"tilt={tilt:.2e} dims=({a.dim},{b.dim}) in C^{a.ambient_dim}"
+        assert met.dim + joined.dim == a.dim + b.dim, where
+        assert met.leq(a) and met.leq(b), where
+
+
+def test_meet_frames_are_orthonormal_at_every_tol():
+    rng = np.random.default_rng(10)
+    for tol in np.geomspace(1e-9, 2.0, 12):
+        for _ in range(60):
+            tilt = float(np.exp(rng.uniform(np.log(1e-10), np.log(3.0))))
+            met = meet_s(*_tilted(rng, tilt, tol))
+            gram = met.frame.conj().T @ met.frame
+            assert np.abs(gram - np.eye(met.dim)).max(initial=0.0) <= 1e-12, (tol, tilt)
 
 
 def _rays_at(theta):

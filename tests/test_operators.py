@@ -342,6 +342,22 @@ def test_plan_is_the_quadruple_computed_once():
         assert np.array_equal(cached.matrix, direct.matrix)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+def test_quadruple_takes_an_operator_state_up_to_a_nonzero_scalar(scale):
+    rng = np.random.default_rng(21)
+    for flag in (LINEAR, ANTILINEAR):
+        op = random_operator(rng, 3, 2, flag)
+        scaled = CompoundOperator(scale * op.matrix, flag)
+        quad, ref = quadruple(scaled), quadruple(op)
+        assert quad.f12 is scaled and quad.f21.linearity == flag
+        assert np.array_equal(quad.f21.matrix, scaled.adjoint().matrix)
+        for rho, want in ((quad.rho1, ref.rho1), (quad.rho2, ref.rho2)):
+            assert np.abs(rho.matrix - want.matrix).max() <= 1e-14
+        power = CompoundOperator(2.0 ** 900 * op.matrix, flag)
+        for rho, want in zip(quadruple(power)[1:3], ref[1:3]):
+            assert np.array_equal(rho.matrix, want.matrix)
+
+
 # -- read-only values -------------------------------------------------------------
 
 
@@ -444,6 +460,17 @@ def test_probe_finds_witness_for_enlarged_kernel():
     assert not report.ordered_on_samples
     assert report.witness is not None
     assert report.consistent  # ordering failed, so nothing to contradict
+
+
+def test_probe_orders_and_equates_images_that_leq_orders_both_ways():
+    # F v and G v are 1.5e-9 apart in C^2: span(F v) <= span(G v) and back
+    f = CompoundOperator(np.array([[1.0], [0.0]]))
+    g = CompoundOperator(np.array([[1.0], [1.5e-9]]))
+    assert ray(f.apply([1.0])).leq(ray(g.apply([1.0])))
+    for first, second in ((f, g), (g, f)):
+        report = atomicity_probe(first, second, 10, rng=np.random.default_rng(3))
+        assert report.ordered_on_samples and report.equal_on_samples
+        assert report.witness is None
 
 
 def test_probe_rejects_mixed_signatures():

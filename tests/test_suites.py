@@ -10,6 +10,7 @@ import pytest
 
 import compoundness.suites
 from compoundness.errors import UnknownSuite
+from compoundness.hilbert import Subspace
 from compoundness.reporting import LawFailure, LawRecorder, VerificationReport
 from compoundness.suites import SUITE_NAMES, run_suite
 
@@ -36,6 +37,18 @@ def test_quantale_suite_records_every_law_of_the_report(monkeypatch):
     )
     report = run_suite("quantale", seed=0, trials=2)
     assert {f.law for f in report.failures} == {"quantale-bottom-is-empty"}
+
+
+def test_sasaki_suite_checks_the_library_projection_for_isotonicity(monkeypatch):
+    # a Sasaki projection that drops everything under a full second argument
+    # is not isotone in it; the suite must see that in sasaki_s itself
+    sasaki = compoundness.suites.sasaki_s
+    monkeypatch.setattr(
+        compoundness.suites, "sasaki_s",
+        lambda a, b: Subspace.zero(a.ambient_dim) if b.dim == b.ambient_dim else sasaki(a, b),
+    )
+    report = run_suite("sasaki", seed=0, trials=60)
+    assert "sasaki-isotone" in {f.law for f in report.failures}
 
 
 def test_zero_trials_is_a_trivial_pass():
