@@ -19,9 +19,8 @@ import numpy as np
 
 from .density import DensityState, _update, carrier, lueders
 from .errors import BadShape, DimensionMismatch, ZeroOperator, ZeroVector
-from .hilbert import DEFAULT_TOL, Subspace, _scaled, sasaki_s
+from .hilbert import Subspace, _scaled, sasaki_s
 from .operators import CompoundOperator, TensorVector, induced_map
-from .reporting import LawRecorder
 from .sampling import (
     random_density,
     random_density_in,
@@ -191,18 +190,16 @@ def chain_order_check(trace: CascadeTrace) -> bool:
     return True
 
 
-def check_prop2(dim: int, trials: int, rng: np.random.Generator,
-                tol: float = DEFAULT_TOL) -> LawRecorder:
+def check_prop2(dim: int, trials: int, rng: np.random.Generator, rec) -> None:
     """Randomized checks that projective updates order proper states.
 
     Per trial: (i) states supported inside the updated property are fixed
     points; (ii) with commuting projectors and the state supported in b,
     updating by a keeps the carrier inside b; (iii) updating by a then by
     a nested a' equals updating by a' alone; and the carrier of an update
-    equals the Sasaki projection of the carrier onto the property. Returns
-    the recorder of all these checks.
+    equals the Sasaki projection of the carrier onto the property. Each
+    check goes to ``rec``, a :class:`~compoundness.reporting.LawRecorder`.
     """
-    rec = LawRecorder(tol)
     for _ in range(trials):
         # (i) fixed point: carrier(rho) inside a
         a = random_subspace(rng, dim, rank=int(rng.integers(1, dim + 1)))
@@ -251,5 +248,3 @@ def check_prop2(dim: int, trials: int, rng: np.random.Generator,
                    if once is not None and twice is not None else np.inf)
             rec.check("nested-composition", gap,
                       a=a.frame, a_inner=a_inner.frame, rho=rho.matrix)
-
-    return rec

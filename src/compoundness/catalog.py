@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
-from .lattice import FiniteLattice, OrthoLattice, attach_ortho, build_lattice
+from .lattice import FiniteLattice, OrthoLattice, attach_ortho, lattice_from_order
 
 
 def chain(n: int) -> FiniteLattice:
     """The n-element chain 0 < 1 < ... < n-1."""
-    labels = [str(i) for i in range(n)]
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    return build_lattice(labels, pairs)
+    return lattice_from_order([str(i) for i in range(n)], np.triu(np.ones((n, n), dtype=bool)))
 
 
 def boolean(num_atoms: int) -> OrthoLattice:
@@ -20,25 +18,13 @@ def boolean(num_atoms: int) -> OrthoLattice:
     boolean(2) is the four-element lattice {0, a, b, 1}.
     """
     names = "abcdefgh"[:num_atoms]
-
-    def label(mask: int) -> str:
-        if mask == 0:
-            return "0"
-        if mask == (1 << num_atoms) - 1 and num_atoms > 0:
-            return "1"
-        return "".join(names[i] for i in range(num_atoms) if mask >> i & 1)
-
-    masks = list(range(1 << num_atoms))
-    labels = [label(m) for m in masks]
-    pairs = [
-        (labels[lo], labels[hi])
-        for lo, hi in itertools.product(masks, masks)
-        if lo & hi == lo
-    ]
-    base = build_lattice(labels, pairs)
     full = (1 << num_atoms) - 1
-    ortho = [labels.index(label(full & ~m)) for m in masks]
-    return attach_ortho(base, ortho)
+    masks = np.arange(full + 1)
+    labels = ["".join(c for i, c in enumerate(names) if m >> i & 1) for m in range(full + 1)]
+    labels[full] = "1"
+    labels[0] = "0"  # boolean(0) is the one-point lattice 0
+    base = lattice_from_order(labels, (masks[:, None] & masks) == masks[:, None])
+    return attach_ortho(base, (masks ^ full).tolist())
 
 
 def mo(n: int) -> OrthoLattice:
@@ -47,19 +33,12 @@ def mo(n: int) -> OrthoLattice:
     mo(2) is the six-element lattice {0, a, a', b, b', 1}; every atom's
     complement is its primed partner. Orthomodular but not distributive.
     """
-    names = "abcdefgh"[:n]
-    labels = ["0"]
-    for c in names:
-        labels += [c, c + "'"]
-    labels.append("1")
-    pairs = [("0", lab) for lab in labels[1:-1]] + [(lab, "1") for lab in labels[1:-1]]
-    pairs.append(("0", "1"))
-    base = build_lattice(labels, pairs)
-    ortho = [labels.index("1")] + [0] * (2 * n) + [labels.index("0")]
-    for c in names:
-        ortho[labels.index(c)] = labels.index(c + "'")
-        ortho[labels.index(c + "'")] = labels.index(c)
-    return attach_ortho(base, ortho)
+    labels = ["0", *(x for c in "abcdefgh"[:n] for x in (c, c + "'")), "1"]
+    top = 2 * n + 1
+    leq = np.eye(top + 1, dtype=bool)
+    leq[0, :] = leq[:, top] = True
+    atoms = [((x - 1) ^ 1) + 1 for x in range(1, top)]  # x <-> x'
+    return attach_ortho(lattice_from_order(labels, leq), [top, *atoms, 0])
 
 
 def standard_lattices() -> dict[str, FiniteLattice]:

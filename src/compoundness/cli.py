@@ -23,6 +23,7 @@ from .hilbert import DEFAULT_TOL, join_s, meet_s, ortho_s, sasaki_s, span
 from .lattice import OrthoLattice
 from .operators import ANTILINEAR, atomicity_probe, from_tensor, quadruple, schmidt_tensor
 from .quantale import check_quantale_laws, enumerate_members, epimorphism_check
+from .reporting import LawRecorder
 from .suites import SUITE_NAMES, run_suite
 
 USAGE_ERROR = 2
@@ -201,9 +202,8 @@ def _cmd_cascade_run(args) -> int:
 
 
 def _cmd_cascade_verify(args) -> int:
-    laws = cascade_mod.check_prop2(
-        args.dim, args.trials, rng=np.random.default_rng(args.seed), tol=args.tol
-    )
+    laws = LawRecorder(args.tol)
+    cascade_mod.check_prop2(args.dim, args.trials, np.random.default_rng(args.seed), laws)
     born = run_suite("cascade-born", args.seed, args.trials, tol=args.tol)
     if args.json:
         payload = {

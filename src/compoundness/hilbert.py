@@ -72,7 +72,8 @@ class Subspace:
             raise ValueError("tolerance must be nonnegative")
         gram = frame.conj().T @ frame
         gram.flat[:: gram.shape[0] + 1] -= 1.0
-        if gram.shape[0] and np.abs(gram).max() > max(self.tol, 1e-12):
+        # never past DEFAULT_TOL, so that projector() is a projector at any tol
+        if gram.shape[0] and np.abs(gram).max() > min(max(self.tol, 1e-12), DEFAULT_TOL):
             raise BadBasis("frame columns are not orthonormal")
 
     @classmethod

@@ -155,10 +155,17 @@ def is_member(f: TransitionMap) -> bool:
     return bool(_compatible(f.space, _image_array([f], len(f.space)))[0])
 
 
+def _same_space(a: ProperStateSpace, b: ProperStateSpace) -> bool:
+    """Whether two spaces have one closure: the same states, the same
+    ``c_map`` and lattices of the same structure."""
+    return a is b or (a.states == b.states and a.c_map == b.c_map
+                      and a.lattice.same_structure(b.lattice))
+
+
 def compose(outer: TransitionMap, inner: TransitionMap) -> TransitionMap:
     """(outer o inner)(T) = outer(inner(T)). Members compose to a member, as
     union-preserving maps are monotone: f(g(cl T)) <= f(cl gT) <= cl(fgT)."""
-    if outer.space is not inner.space and outer.space.states != inner.space.states:
+    if not _same_space(outer.space, inner.space):
         raise NotMember("transition maps act on different state spaces")
     if not (is_member(outer) and is_member(inner)):
         raise NotMember("can only compose closure-compatible transition maps")
@@ -173,6 +180,8 @@ def union_join(maps: Sequence[TransitionMap],
         if space is None:
             raise ValueError("the empty union needs an explicit state space")
         return empty_transition(space)
+    if not all(_same_space(f.space, maps[0].space) for f in maps):
+        raise NotMember("transition maps act on different state spaces")
     if not all(is_member(f) for f in maps):
         raise NotMember("can only join closure-compatible transition maps")
     images = np.bitwise_or.reduce(_image_array(maps, len(maps[0].space)))

@@ -56,10 +56,6 @@ class LawRecorder:
     def require(self, law: str, condition: bool, inputs: str = "") -> None:
         self.check(law, 0.0 if condition else 1.0, inputs)
 
-    def absorb(self, other: "LawRecorder") -> None:
-        self.max_discrepancy = max(self.max_discrepancy, other.max_discrepancy)
-        self.failures.extend(other.failures)
-
 
 @dataclass(frozen=True)
 class VerificationReport:

@@ -40,6 +40,7 @@ from compoundness.operators import (
     to_tensor,
 )
 from compoundness.quantale import check_quantale_laws, enumerate_members
+from compoundness.reporting import LawRecorder
 from compoundness.sampling import (
     complex_gaussian,
     random_nested_pair,
@@ -241,8 +242,8 @@ def test_criterion_07_cascade_reproduces_born_probabilities():
 def test_criterion_08_update_law_hypotheses():
     with criterion(8, "projective update laws and the Sasaki carrier bridge", 30.0):
         for dim in (2, 3):
-            report = check_prop2(dim, 500, rng=np.random.default_rng(2028 + dim),
-                                 tol=1e-9)
+            report = LawRecorder(1e-9)
+            check_prop2(dim, 500, np.random.default_rng(2028 + dim), report)
             assert report.ok, report.failures[:3]
             assert report.max_discrepancy <= 1e-9
 

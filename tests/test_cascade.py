@@ -24,7 +24,7 @@ from compoundness.density import (
     transition_probability,
 )
 from compoundness.errors import BadShape, NotADensity, ZeroOperator, ZeroVector
-from compoundness.hilbert import Subspace, ortho_s, ray, sasaki_s, span
+from compoundness.hilbert import DEFAULT_TOL, Subspace, ortho_s, ray, sasaki_s, span
 from compoundness.operators import (
     ANTILINEAR,
     LINEAR,
@@ -32,6 +32,7 @@ from compoundness.operators import (
     TensorVector,
     from_tensor,
 )
+from compoundness.reporting import LawRecorder
 from compoundness.sampling import (
     random_density,
     random_state_vector,
@@ -646,13 +647,15 @@ def test_post_carriers_are_the_rays_updated_onto():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_update_laws_hold_at_small_dimension(dim):
-    report = check_prop2(dim, 120, rng=np.random.default_rng(12 + dim))
+    report = LawRecorder(DEFAULT_TOL)
+    check_prop2(dim, 120, np.random.default_rng(12 + dim), report)
     assert report.ok, report.failures[:3]
     assert report.max_discrepancy <= 1e-9
 
 
 def test_update_law_report_records_failures_under_impossible_tolerance():
-    report = check_prop2(2, 20, rng=np.random.default_rng(13), tol=0.0)
+    report = LawRecorder(0.0)
+    check_prop2(2, 20, np.random.default_rng(13), report)
     assert not report.ok  # float noise alone must trip an exact tolerance
     assert report.max_discrepancy > 0.0
 

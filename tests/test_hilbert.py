@@ -220,6 +220,16 @@ def test_subspace_frame_must_be_orthonormal():
         Subspace(np.column_stack([E1, E1]))
 
 
+def test_subspace_frame_check_stops_at_the_default_tolerance():
+    from compoundness.errors import BadBasis
+
+    # off the identity by 0.6 in the Gram matrix: P @ P - P has norm 0.99
+    with pytest.raises(BadBasis):
+        Subspace(np.array([[1, 0.6], [0, 0.8]]), tol=0.75)
+    near = Subspace(np.diag([1, 1 + 2e-10]), tol=0.75)
+    assert near.dim == 2
+
+
 def test_span_is_frame_invariant():
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -226,6 +226,44 @@ def test_mo2_is_orthomodular_but_not_distributive():
     assert base.join2(base.meet2(a, b), base.meet2(a, bp)) == base.bottom
 
 
+def _stock_by_pairs(kind: str, n: int):
+    """A stock lattice built from generating label pairs, with its
+    complement table (None for a chain)."""
+    if kind == "chain":
+        return build_lattice([str(i) for i in range(n)], [(i, i + 1) for i in range(n - 1)]), None
+    if kind == "boolean":
+        full = (1 << n) - 1
+
+        def label(mask: int) -> str:
+            if mask == 0:
+                return "0"
+            if mask == full:
+                return "1"
+            return "".join(c for i, c in enumerate("abcdefgh"[:n]) if mask >> i & 1)
+
+        labels = [label(m) for m in range(full + 1)]
+        pairs = [(label(lo), label(hi)) for lo, hi in itertools.product(range(full + 1), repeat=2)
+                 if lo & hi == lo]
+        return build_lattice(labels, pairs), [labels.index(label(full & ~m)) for m in range(full + 1)]
+    labels = ["0", *itertools.chain.from_iterable((c, c + "'") for c in "abcdefgh"[:n]), "1"]
+    atoms = labels[1:-1]
+    base = build_lattice(labels, [("0", x) for x in atoms] + [(x, "1") for x in atoms] + [("0", "1")])
+    partner = {c: c + "'" for c in atoms[::2]} | {c + "'": c for c in atoms[::2]} | {"0": "1", "1": "0"}
+    return base, [labels.index(partner[x]) for x in labels]
+
+
+@pytest.mark.parametrize("kind, n", [("chain", n) for n in range(1, 9)]
+                         + [("boolean", k) for k in range(4)] + [("mo", n) for n in range(1, 4)])
+def test_catalog_lattice_equals_the_one_built_from_its_pairs(kind, n):
+    made = {"chain": chain, "boolean": boolean, "mo": mo}[kind](n)
+    base, ortho = (made, None) if kind == "chain" else (made.base, list(made.ortho))
+    want, want_ortho = _stock_by_pairs(kind, n)
+    assert base.elements == want.elements
+    for table in ("leq", "join_table", "meet_table"):
+        assert np.array_equal(getattr(base, table), getattr(want, table)), table
+    assert (base.bottom, base.top, ortho) == (want.bottom, want.top, want_ortho)
+
+
 def test_self_complement_on_atom_is_rejected():
     base = boolean(2).base
     ortho = [base.index("1"), base.index("a"), base.index("b"), base.index("0")]

@@ -192,6 +192,37 @@ def test_compose_rejects_non_members():
         compose(bad, identity_transition(space))
 
 
+def _spaces_sharing_labels() -> tuple[ProperStateSpace, ...]:
+    # one space, a twin of the same structure, and a space on the same states
+    # with another closure: the union or composite of a member of the first
+    # and one of the last need not be a member of either space
+    return (ProperStateSpace(("p", "q"), CHAIN2, (1, 1)),
+            ProperStateSpace(("p", "q"), chain(2), (1, 1)),
+            ProperStateSpace(("p", "q"), CHAIN3, (1, 2)))
+
+
+def test_union_join_refuses_maps_from_another_space():
+    one, twin, other = _spaces_sharing_labels()
+    pairs = list(itertools.product(enumerate_members(one), enumerate_members(other)))
+    unions = [TransitionMap(one, tuple(x | y for x, y in zip(f.images, g.images)))
+              for f, g in pairs]
+    assert not all(is_member(u) for u in unions)
+    for f, g in pairs:
+        for maps in ([f, g], [g, f]):
+            with pytest.raises(NotMember, match="different state spaces"):
+                union_join(maps)
+    assert is_member(union_join([identity_transition(one), identity_transition(twin)]))
+
+
+def test_compose_refuses_maps_from_another_space():
+    one, twin, other = _spaces_sharing_labels()
+    for f, g in itertools.product(enumerate_members(one), enumerate_members(other)):
+        for outer, inner in ((f, g), (g, f)):
+            with pytest.raises(NotMember, match="different state spaces"):
+                compose(outer, inner)
+    assert compose(identity_transition(twin), identity_transition(one)).images == (1, 2)
+
+
 def test_union_join_empty_and_bounds():
     space = two_state_space()
     bottom = union_join([], space=space)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import compoundness.suites
+from compoundness.cascade import check_prop2
 from compoundness.errors import UnknownSuite
 from compoundness.hilbert import Subspace
 from compoundness.reporting import LawFailure, LawRecorder, VerificationReport
@@ -116,16 +117,16 @@ def test_law_recorder_renders_failing_arrays_by_sorted_key_on_one_line():
     assert not rec.ok
 
 
-def test_law_recorder_absorb_keeps_the_larger_maximum_and_appends_in_order():
-    first, second = LawRecorder(tol=0.1), LawRecorder(tol=0.1)
-    first.check("a", 0.3, "x")
-    second.check("b", 0.7, "y")
-    second.check("c", 0.2, "z")
-    first.absorb(second)
-    assert [f.law for f in first.failures] == ["a", "b", "c"]
-    assert first.max_discrepancy == 0.7
-    second.absorb(LawRecorder(tol=0.1))
-    assert second.max_discrepancy == 0.7
+def test_check_prop2_records_into_the_recorder_it_is_given():
+    # float noise alone trips tol 0, so every call records failures
+    first, second, both = LawRecorder(0.0), LawRecorder(0.0), LawRecorder(0.0)
+    assert check_prop2(2, 5, np.random.default_rng(1), first) is None
+    check_prop2(3, 5, np.random.default_rng(2), second)
+    check_prop2(2, 5, np.random.default_rng(1), both)
+    check_prop2(3, 5, np.random.default_rng(2), both)
+    assert first.failures and second.failures
+    assert both.failures == first.failures + second.failures
+    assert both.max_discrepancy == max(first.max_discrepancy, second.max_discrepancy)
 
 
 def test_law_recorder_ok_exactly_when_nothing_failed():
