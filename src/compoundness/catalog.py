@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import FiniteLattice, OrthoLattice, attach_ortho, lattice_from_order
+from .lattice import FiniteLattice, OrthoLattice, _indices_ok, attach_ortho, lattice_from_order
+
+
+def _check_size(n, most: float) -> None:
+    if not _indices_ok((n,), most + 1):
+        raise ValueError(f"size must be an integer in 0..{most}, got {n!r}")
 
 
 def chain(n: int) -> FiniteLattice:
-    """The n-element chain 0 < 1 < ... < n-1."""
+    """The n-element chain 0 < 1 < ... < n-1; chain(0) has no bounds."""
+    _check_size(n, float("inf"))
     return lattice_from_order([str(i) for i in range(n)], np.triu(np.ones((n, n), dtype=bool)))
 
 
@@ -17,6 +23,7 @@ def boolean(num_atoms: int) -> OrthoLattice:
 
     boolean(2) is the four-element lattice {0, a, b, 1}.
     """
+    _check_size(num_atoms, 8)
     names = "abcdefgh"[:num_atoms]
     full = (1 << num_atoms) - 1
     masks = np.arange(full + 1)
@@ -33,6 +40,7 @@ def mo(n: int) -> OrthoLattice:
     mo(2) is the six-element lattice {0, a, a', b, b', 1}; every atom's
     complement is its primed partner. Orthomodular but not distributive.
     """
+    _check_size(n, 8)
     labels = ["0", *(x for c in "abcdefgh"[:n] for x in (c, c + "'")), "1"]
     top = 2 * n + 1
     leq = np.eye(top + 1, dtype=bool)

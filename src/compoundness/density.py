@@ -30,8 +30,8 @@ ORTHOGONAL_CUTOFF = 1e-12
 class DensityState:
     """A validated density operator: Hermitian, PSD, unit trace.
 
-    Holds a private, read-only copy of the matrix and keeps the
-    eigendecomposition that validation computes, for :func:`carrier`.
+    Holds a private, read-only copy of the matrix. Validation reads its
+    eigenvalues only; :func:`carrier` decomposes it on first read.
     """
 
     matrix: np.ndarray
@@ -46,10 +46,8 @@ class DensityState:
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > TRACE_TOL:
             raise NotADensity(f"density operator has trace {trace}, expected 1")
-        w, v = np.linalg.eigh(m)
-        if float(w[0]) < EIGENVALUE_FLOOR:
+        if float(np.linalg.eigvalsh(m)[0]) < EIGENVALUE_FLOOR:
             raise NotADensity("density operator has a significantly negative eigenvalue")
-        object.__setattr__(self, "_eigh", (w, v))
 
     @classmethod
     def pure(cls, vector) -> "DensityState":
@@ -73,7 +71,7 @@ class DensityState:
     @cached_property
     def _carrier(self) -> Subspace:
         # the trace is 1 within TRACE_TOL, so the top eigenvalue is near 1/dim or above
-        w, v = self._eigh
+        w, v = np.linalg.eigh(self.matrix)
         return Subspace(v[:, w.size - _rank(w[::-1], DEFAULT_TOL):])
 
 
@@ -87,8 +85,7 @@ def carrier(rho: DensityState) -> Subspace:
     """The range of ``rho``: its strongest actual property.
 
     Spanned by the eigenvectors whose eigenvalues exceed ``DEFAULT_TOL``
-    relative to the largest one. Computed once per state, from the
-    eigendecomposition its validation made.
+    relative to the largest one. Computed once per state, on first read.
     """
     return rho._carrier
 

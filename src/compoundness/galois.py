@@ -25,9 +25,9 @@ from .errors import (
 from .lattice import FiniteLattice, _indices_ok, _lattice, _row_blocks, _table_by_key
 
 ENUMERATION_GUARD = 8
-# Q's meet and join tables hold |Q|^2 intp entries each, its order |Q|^2 bytes:
-# chain(8) to chain(8) (3,432 maps) peaks at about 260 MB RSS, and the two
-# tables of mo(3) to mo(3) (13,376 maps) alone would take 2.9 GB.
+# Q's join table holds |Q|^2 intp entries (its meet table as many, once read) and
+# its order |Q|^2 bytes: chain(8) to chain(8) (3,432 maps) peaks at about 140 MB
+# RSS (230 MB with its meets); mo(3) to mo(3) (13,376 maps) needs 1.4 GB a table.
 Q_GUARD = 4096
 
 
@@ -241,8 +241,8 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
     table lookups are 1-D takes at x * |L2| + y. Q's join is pointwise:
     each pointwise join must be found among the maps, which with the
     absurd map as bottom shows that Q is a lattice. Its order is read off
-    the join table (f <= g iff f v g = g), and its meets follow from its
-    join-irreducibles. The lattice of maps takes O(|Q|^2) memory. Guarded
+    the join table (f <= g iff f v g = g); its meet table is built on first
+    read. The lattice of maps takes O(|Q|^2) memory. Guarded
     to ``ENUMERATION_GUARD`` elements per lattice, and to ``Q_GUARD`` maps
     before any table of Q is built.
     """

@@ -1,11 +1,12 @@
 """Finite posets, complete lattices, and orthocomplemented variants.
 
 Elements are identified by integer position; textual labels are carried
-for display only. The order relation and the meet/join operations are
-dense tables validated exhaustively at construction time, after which a
-lattice is immutable and safe to share between threads. Joins and meets
-are looked up by bit-mask keys (up-sets, and the join-irreducibles below)
-in blocks of rows, so building an n-element lattice needs O(n^2) memory.
+for display only. Construction checks what defines a lattice: a partial
+order with every binary join, and a bottom. The meet table and the other
+derived tables are built on first read; a lattice is immutable and safe
+to share between threads. Joins and meets are looked up by packed bit-mask
+keys (up-sets, and the join-irreducibles below) in blocks of rows, so
+building an n-element lattice needs O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -34,20 +35,20 @@ class FiniteLattice:
     """A finite complete lattice with dense order and operation tables.
 
     ``leq[i, j]`` holds iff element ``i`` is below element ``j``.
-    ``meet_table``/``join_table`` give the greatest lower / least upper
-    bound of every pair. Use :func:`build_lattice` or
-    :func:`lattice_from_order` to construct validated instances.
+    ``join_table``/``meet_table`` give the least upper / greatest lower
+    bound of every pair; the meet table is built on first read. Use
+    :func:`build_lattice` or :func:`lattice_from_order` to construct
+    validated instances.
     """
 
     elements: tuple[str, ...]
     leq: np.ndarray
-    meet_table: np.ndarray
     join_table: np.ndarray
     bottom: int
     top: int
 
     def __post_init__(self) -> None:
-        for table in (self.leq, self.meet_table, self.join_table):
+        for table in (self.leq, self.join_table):
             table.setflags(write=False)
 
     def __len__(self) -> int:
@@ -57,17 +58,20 @@ class FiniteLattice:
         return f"FiniteLattice({list(self.elements)!r})"
 
     @cached_property
+    def meet_table(self) -> np.ndarray:
+        """x /\\ y is the element whose join-irreducibles below (a bottom
+        counts as one) are those below both."""
+        table = _intersection_table(self.leq[_join_irreducible(self.join_table)].T,
+                                    self.elements, "meet")
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def dual(self) -> "FiniteLattice":
         """The order dual: the same elements under the reversed order, so
         meets and joins swap roles, and so do the bottom and the top."""
-        return FiniteLattice(
-            elements=self.elements,
-            leq=self.leq.T,
-            meet_table=self.join_table,
-            join_table=self.meet_table,
-            bottom=self.top,
-            top=self.bottom,
-        )
+        return FiniteLattice(elements=self.elements, leq=self.leq.T, join_table=self.meet_table,
+                             bottom=self.top, top=self.bottom)
 
     @cached_property
     def _up_rows(self) -> list[list[int]]:
@@ -155,20 +159,19 @@ def _row_blocks(rows: int, per_row: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _table_by_key(keys: np.ndarray, pair_keys, labels: Sequence[str], what: str,
-                  width: int = 1) -> np.ndarray:
+def _table_by_key(keys: np.ndarray, pair_keys, labels: Sequence[str], what: str) -> np.ndarray:
     """The table of a commutative operation on elements with distinct keys.
 
     ``pair_keys(rows, cols)`` gives the keys of the results on a block of
-    rows, from the block's first column on; a key takes ``width`` entries.
-    Each result is looked up among the sorted keys and must match exactly,
-    else NotALattice.
+    rows, from the block's first column on; a key counts as one entry per
+    8 bytes. Each result is looked up among the sorted keys and must match
+    exactly, else NotALattice.
     """
     n = len(keys)
     order = np.argsort(keys)
     ranked = keys[order]
     table = np.empty((n, n), dtype=np.intp)
-    for rows in _row_blocks(n, n * width):
+    for rows in _row_blocks(n, n * keys.itemsize // 8):
         lo = rows.start
         want = pair_keys(rows, slice(lo, None))
         hit = order[np.minimum(np.searchsorted(ranked, want), n - 1)]
@@ -184,16 +187,15 @@ def _table_by_key(keys: np.ndarray, pair_keys, labels: Sequence[str], what: str,
 def _intersection_table(bits: np.ndarray, labels: Sequence[str], what: str) -> np.ndarray:
     """For all x and y, the element z with bits[z] = bits[x] & bits[y].
 
-    Each row of bits is packed into 64-bit words: one word is an integer
-    key, several compare as one opaque byte string.
+    Each row of bits is packed into 64-bit words, which compare as one
+    opaque byte string.
     """
     padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), dtype=bool)
     padded[:, :bits.shape[1]] = bits
     words = np.packbits(padded, axis=1).view(np.uint64)
-    as_key = (lambda w: w[..., 0]) if words.shape[1] == 1 else (
-        lambda w: np.ascontiguousarray(w).view(f"V{words.shape[1] * 8}")[..., 0])
-    return _table_by_key(as_key(words), lambda r, c: as_key(words[r, None] & words[c]),
-                         labels, what, words.shape[1])
+    key = f"V{words.shape[1] * 8}"
+    return _table_by_key(words.view(key)[:, 0],
+                         lambda r, c: (words[r, None] & words[c]).view(key)[..., 0], labels, what)
 
 
 def _join_irreducible(join_table: np.ndarray) -> np.ndarray:
@@ -210,29 +212,22 @@ def _join_irreducible(join_table: np.ndarray) -> np.ndarray:
 
 
 def _lattice(labels: tuple[str, ...], rel: np.ndarray, join_table: np.ndarray) -> FiniteLattice:
-    """The lattice on the partial order ``rel`` with the joins ``join_table``.
-
-    Each element is the join of the irreducibles below it (a bottom counts
-    as one), so x /\\ y is the element whose irreducibles below are those
-    below both; a miss raises NotALattice.
-    """
-    meet_table = _intersection_table(rel[_join_irreducible(join_table)].T, labels, "meet")
-    return FiniteLattice(
-        elements=labels,
-        leq=rel,
-        meet_table=meet_table,
-        join_table=join_table,
-        bottom=int(rel.all(axis=1).argmax()),
-        top=int(rel.all(axis=0).argmax()),
-    )
+    """The lattice on the partial order ``rel`` with the joins ``join_table``,
+    if it has a bottom: two minimal elements have no meet (NotALattice)."""
+    minimal = np.flatnonzero(rel.sum(axis=0) == 1)
+    if len(minimal) > 1:
+        x, y = minimal[:2]
+        raise NotALattice(f"elements {labels[x]!r} and {labels[y]!r} have no meet")
+    return FiniteLattice(elements=labels, leq=rel, join_table=join_table,
+                         bottom=int(minimal[0]), top=int(rel.all(axis=0).argmax()))
 
 
 def lattice_from_order(elements: Sequence[str], leq: np.ndarray) -> FiniteLattice:
     """Validate an explicit order matrix and build the lattice over it.
 
     The matrix is checked for reflexivity, antisymmetry, and transitivity
-    (NotAPoset on failure), then for existence of all binary joins and
-    meets (NotALattice); the meets follow from the join-irreducibles.
+    (NotAPoset on failure), then for existence of all binary joins and of
+    a bottom (NotALattice); the meets are built on first read.
     """
     labels = tuple(str(e) for e in elements)
     if not labels:

@@ -68,15 +68,12 @@ def random_density(rng: np.random.Generator, dim: int,
     return _normalized(g @ g.conj().T)
 
 
-def random_density_in(rng: np.random.Generator, support: Subspace,
-                      rank: int | None = None) -> DensityState:
-    """Random state whose carrier lies inside ``support``."""
+def random_density_in(rng: np.random.Generator, support: Subspace) -> DensityState:
+    """Random full-rank state on ``support``: its carrier lies inside it."""
     k = support.dim
     if k == 0:
         raise ValueError("cannot support a state on the zero subspace")
-    if rank is None:
-        rank = k
-    g = complex_gaussian(rng, k, rank)
+    g = complex_gaussian(rng, k, k)
     return _normalized(support.frame @ (g @ g.conj().T) @ support.frame.conj().T)
 
 

@@ -31,10 +31,12 @@ from compoundness.operators import (
     CompoundOperator,
     TensorVector,
     from_tensor,
+    quadruple,
 )
 from compoundness.reporting import LawRecorder
 from compoundness.sampling import (
     random_density,
+    random_operator,
     random_state_vector,
     random_subspace,
     random_tensor_vector,
@@ -69,6 +71,30 @@ def test_density_validation_rejects_bad_matrices():
         DensityState(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
     with pytest.raises(BadShape):
         DensityState(np.ones((2, 3)))
+
+
+def test_eigenvalue_floor_sits_between_minus_2e_10_and_minus_5e_11():
+    with pytest.raises(NotADensity, match="negative eigenvalue"):
+        DensityState(np.diag([1 + 2e-10, -2e-10]))
+    rho = DensityState(np.diag([1 + 5e-11, -5e-11]))
+    # validation reads eigenvalues only; the carrier decomposes on first read
+    assert set(vars(rho)) == {"matrix"}
+    assert carrier(rho).approx_equal(ray(E1))
+
+
+def test_carrier_frames_are_the_eigenvectors_of_the_state_matrix():
+    # bit for bit the frame a decomposition made during validation would give
+    rng = np.random.default_rng(11)
+    states = []
+    for dim in range(1, 7):
+        rho = random_density(rng, dim, rank=int(rng.integers(1, dim + 1)))
+        states += [rho, lueders(rho, random_subspace(rng, dim, rank=int(rng.integers(1, dim + 1))))]
+        states += quadruple(random_operator(rng, dim, int(rng.integers(1, 7))))[1:3]
+    for rho in filter(None, states):
+        w, v = np.linalg.eigh(rho.matrix)
+        frame = carrier(rho).frame
+        assert np.array_equal(frame, v[:, w.size - frame.shape[1]:])
+        assert frame.shape[1] == np.count_nonzero(w > DEFAULT_TOL * w[-1])
 
 
 def test_carrier_of_pure_state_is_its_ray():

@@ -59,6 +59,15 @@ def test_bowtie_poset_is_not_a_lattice():
                       [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
 
 
+def test_poset_with_every_join_but_no_bottom_is_not_a_lattice():
+    # a, b < 1: every pair has a join, so only the missing bottom shows
+    leq = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    with pytest.raises(NotALattice, match="'a' and 'b' have no meet"):
+        lattice_from_order(["a", "b", "1"], leq)
+    with pytest.raises(NotALattice, match="'a' and 'b' have no meet"):
+        build_lattice(["a", "b", "1"], [("a", "1"), ("b", "1")])
+
+
 def test_cycle_is_rejected_as_antisymmetry_failure():
     with pytest.raises(NotAPoset):
         build_lattice(["x", "y", "z"], [("x", "y"), ("y", "x"), ("x", "z")])
@@ -262,6 +271,23 @@ def test_catalog_lattice_equals_the_one_built_from_its_pairs(kind, n):
     for table in ("leq", "join_table", "meet_table"):
         assert np.array_equal(getattr(base, table), getattr(want, table)), table
     assert (base.bottom, base.top, ortho) == (want.bottom, want.top, want_ortho)
+
+
+@pytest.mark.parametrize("make, size", [
+    (chain, -1), (chain, 2.5), (chain, True), (chain, "3"),
+    (boolean, -1), (boolean, 9), (boolean, True), (boolean, 2.0),
+    (mo, -1), (mo, 9), (mo, True), (mo, None),
+])
+def test_catalog_refuses_a_size_out_of_range_up_front(make, size):
+    accepted = "0..inf" if make is chain else "0..8"
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer in {accepted}, got {size!r}")):
+        make(size)
+
+
+def test_catalog_sizes_at_the_ends_of_their_range():
+    with pytest.raises(NoBounds):
+        chain(0)
+    assert [len(chain(1)), len(boolean(0)), len(mo(0)), len(boolean(8)), len(mo(8))] == [1, 1, 2, 256, 18]
 
 
 def test_self_complement_on_atom_is_rejected():
