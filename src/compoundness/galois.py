@@ -10,7 +10,8 @@ separation map on top and the constant-bottom (absurd) map at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -25,9 +26,7 @@ from .errors import (
 from .lattice import FiniteLattice, _indices_ok, _lattice, _row_blocks, _table_by_key
 
 ENUMERATION_GUARD = 8
-# Q's join table holds |Q|^2 intp entries (its meet table as many, once read) and
-# its order |Q|^2 bytes: chain(8) to chain(8) (3,432 maps) peaks at about 140 MB
-# RSS (230 MB with its meets); mo(3) to mo(3) (13,376 maps) needs 1.4 GB a table.
+# with Q's tables, chain(8) to chain(8) (3,432 maps) peaks at about 140 MB RSS
 Q_GUARD = 4096
 
 
@@ -196,38 +195,59 @@ def compose_join_maps(outer: JoinMap, inner: JoinMap) -> JoinMap:
 
 @dataclass(frozen=True, eq=False)
 class QLattice:
-    """All join-preserving maps between two lattices, ordered pointwise.
+    """All join-preserving maps between two lattices, sorted by table.
 
     ``lattice`` is the (validated) finite lattice whose element i stands
-    for ``maps[i]``; its top is the separation map and its bottom the
-    absurd map.
+    for ``maps[i]``, ordered pointwise; its top is the separation map and
+    its bottom the absurd map. Its O(|Q|^2) tables are built on first read.
     """
 
-    lattice: FiniteLattice
     maps: tuple[JoinMap, ...]
+    # the maps' tables as rows, in a dtype that holds every x * |L2| + y
+    _tables: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.maps)
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {f.table: i for i, f in enumerate(self.maps)}
-
     def index_of(self, f: JoinMap | tuple[int, ...]) -> int:
+        head = self.maps[0]
+        if isinstance(f, _LatticeMap) and not (isinstance(f, JoinMap) and head.same_signature(f)):
+            raise MixedSignatures("the map differs in kind or in source or target lattices")
         table = f.table if isinstance(f, JoinMap) else tuple(f)
-        # a bool or an integral float hashes as an int, so check before the lookup
-        index = self._index.get(table) if _indices_ok(table, len(self.top_map.target)) else None
-        if index is None:
+        # a bool or an integral float compares as an int, so check before the search
+        ok = _indices_ok(table, len(head.target))
+        i = bisect_left(self.maps, table, key=lambda g: g.table) if ok else len(self)
+        if i == len(self) or self.maps[i].table != table:
             raise NotJoinPreserving(f"table {table} is not one of the enumerated maps")
-        return index
+        return i
 
     @property
     def top_map(self) -> JoinMap:
-        return self.maps[self.lattice.top]
+        head = self.maps[0]
+        return self.maps[self.index_of(separation_state(head.source, head.target))]
 
     @property
     def bottom_map(self) -> JoinMap:
-        return self.maps[self.lattice.bottom]
+        head = self.maps[0]
+        return self.maps[self.index_of(absurd_state(head.source, head.target))]
+
+    @cached_property
+    def lattice(self) -> FiniteLattice:
+        """Q's join is pointwise and must give one of the maps, which with the
+        absurd map as bottom makes Q a lattice; f <= g iff f v g = g."""
+        if len(self) > Q_GUARD:
+            raise TooLarge(f"Q has {len(self)} maps; at about 9 bytes a pair its tables would "
+                           f"take {9 * len(self) ** 2 / 1e9:.1f} GB (guard: {Q_GUARD} maps)")
+        arr, head = self._tables, self.maps[0]
+        m = len(head.target)
+        join = head.target.join_table.astype(arr.dtype).ravel()
+        # a map's key is its table read as a base-|L2| number
+        radix = m ** np.arange(len(head.source) - 1, -1, -1)
+        labels = tuple(",".join(str(v) for v in f.table) for f in self.maps)
+        join_table = _table_by_key(
+            arr @ radix, lambda r, c: join.take(arr[r, None] * m + arr[c]) @ radix, labels, "join")
+        # distinct maps under a pointwise order form a poset
+        return _lattice(labels, join_table == np.arange(len(arr)), join_table)
 
 
 def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
@@ -238,13 +258,9 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
     images monotone on the JIs, and extended by joins. Each map arises
     once, and sends the bottom to the bottom, as no JI lies below it. The
     check of every binary join runs on every candidate, in row blocks;
-    table lookups are 1-D takes at x * |L2| + y. Q's join is pointwise:
-    each pointwise join must be found among the maps, which with the
-    absurd map as bottom shows that Q is a lattice. Its order is read off
-    the join table (f <= g iff f v g = g); its meet table is built on first
-    read. The lattice of maps takes O(|Q|^2) memory. Guarded
-    to ``ENUMERATION_GUARD`` elements per lattice, and to ``Q_GUARD`` maps
-    before any table of Q is built.
+    table lookups are 1-D takes at x * |L2| + y. Q's tables wait for the
+    first read of ``QLattice.lattice``. Guarded to ``ENUMERATION_GUARD``
+    elements per lattice.
     """
     if len(source) > ENUMERATION_GUARD or len(target) > ENUMERATION_GUARD:
         raise TooLarge(
@@ -280,21 +296,10 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
         c = candidates[rows]
         preserved[rows] = (c[:, xy] == join.take(c[:, xs] * m + c[:, ys])).all(axis=1)
     arr = candidates[preserved]
-    if len(arr) > Q_GUARD:
-        raise TooLarge(f"Q has {len(arr)} maps; its tables are built up to {Q_GUARD}")
-    # a map's key is its table read as a base-|L2| number: sorted keys are
-    # the tables in lexicographic order
-    radix = m ** np.arange(n - 1, -1, -1)
-    arr = arr[np.argsort(arr @ radix)]
-    ordered = [tuple(t) for t in arr.tolist()]
-    maps = tuple(JoinMap(source=source, target=target, table=t) for t in ordered)
-
-    labels = tuple(",".join(str(v) for v in t) for t in ordered)
-    join_table = _table_by_key(
-        arr @ radix, lambda r, c: join.take(arr[r, None] * m + arr[c]) @ radix, labels, "join")
-    # f <= g iff f v g = g; distinct maps under a pointwise order form a poset
-    lat = _lattice(labels, join_table == np.arange(len(arr)), join_table)
-    return QLattice(lattice=lat, maps=maps)
+    # rows in lexicographic order: the last key passed to lexsort is the primary one
+    arr = arr[np.lexsort(arr.T[::-1])]
+    maps = tuple(JoinMap(source=source, target=target, table=tuple(t)) for t in arr.tolist())
+    return QLattice(maps=maps, _tables=arr)
 
 
 def order_antitone_check(f: JoinMap, g: JoinMap) -> bool:

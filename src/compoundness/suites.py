@@ -7,7 +7,6 @@ are deterministic given (name, seed, trials) up to the elapsed field.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 
@@ -43,16 +42,12 @@ from .sampling import (
     random_unitary,
 )
 
-@functools.lru_cache(maxsize=1)
-def _enumerated_pairs():
-    return tuple(
-        (n1, n2, enumerate_Q(l1, l2))
-        for (n1, l1), (n2, l2) in itertools.product(standard_lattices().items(), repeat=2)
-    )
-
 
 def _suite_galois(rng: np.random.Generator, trials: int, rec: LawRecorder) -> None:
-    enumerated = _enumerated_pairs()
+    enumerated = [
+        (n1, n2, enumerate_Q(l1, l2))
+        for (n1, l1), (n2, l2) in itertools.product(standard_lattices().items(), repeat=2)
+    ]
     for _ in range(trials):
         n1, n2, q = enumerated[rng.integers(len(enumerated))]
         f = q.maps[rng.integers(len(q))]

@@ -8,6 +8,7 @@ the main library code paths are never the thing checking themselves.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -63,6 +64,19 @@ def brute_join_maps(source, target) -> set[tuple[int, ...]]:
         ):
             found.add(table)
     return found
+
+
+def mo_join_map_count(n: int, k: int) -> int:
+    """|Q(MO_n, MO_k)| in closed form (n, k >= 1), counted by f(1).
+
+    Any two of the 2n atoms of MO_n join to 1, and f preserves that join.
+    f(1) = 0: the absurd map. f(1) = an atom c: every atom goes to c, or one
+    atom goes to 0 and the rest to c. f(1) = 1: one atom goes to 0 and the
+    rest to 1, or no atom goes to 0, j atoms go one-to-one to atoms of
+    MO_k and the rest to 1.
+    """
+    return (1 + 2 * k * (1 + 2 * n) + 2 * n
+            + sum(math.comb(2 * n, j) * math.perm(2 * k, j) for j in range(2 * n + 1)))
 
 
 def brute_meet_maps(source, target) -> set[tuple[int, ...]]:

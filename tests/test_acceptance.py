@@ -108,8 +108,8 @@ def test_criterion_02_q_lattice_structure():
         lattices = standard_lattices()
         for l1, l2 in _all_pairs():
             q = enumerate_Q(l1, l2)
-            assert q.top_map.table == separation_state(l1, l2).table
-            assert q.bottom_map.table == absurd_state(l1, l2).table
+            assert q.maps[q.lattice.top].table == separation_state(l1, l2).table
+            assert q.maps[q.lattice.bottom].table == absurd_state(l1, l2).table
             # the lattice join is the pointwise join (checked via tables)
             arr = np.array([f.table for f in q.maps], dtype=np.int64)
             lookup = _row_indexer(arr, len(l2))

@@ -204,6 +204,10 @@ def test_galois_enumerate(files, capsys):
     assert main(["--json", "galois", "enumerate", l1, l2]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 4
+    # past Q_GUARD: the maps are counted, as no table of Q is read
+    mo3 = str(DATA / "mo3.json")
+    assert json.loads(Path(mo3).read_text()) == jsonio.dump_lattice(mo(3))
+    assert _json_out(capsys, ["galois", "enumerate", mo3, mo3])["count"] == 13376
 
 
 def test_shared_flags_work_after_the_subcommand(files, capsys):
@@ -343,8 +347,9 @@ def test_quantale_check_exits_one_when_any_law_fails(files, capsys, monkeypatch)
 
 
 def test_a_size_refusal_is_a_usage_error(files, capsys):
-    mo3 = files("mo3.json", jsonio.dump_lattice(mo(3)))
-    for argv, message in ((["galois", "enumerate", mo3, mo3], "Q has 13376 maps"),
+    c9 = files("chain9.json", jsonio.dump_lattice(chain(9)))
+    for argv, message in ((["galois", "enumerate", c9, str(DATA / "b2.json")],
+                           "enumeration guard is 8 elements per side"),
                           (["quantale", "check", str(DATA / "four-state-space.json")],
                            "guarded to 350 members, got 22267")):
         assert main(argv) == 2

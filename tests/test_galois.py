@@ -41,6 +41,7 @@ from oracles import (
     brute_join_maps,
     brute_lub,
     brute_meet_maps,
+    mo_join_map_count,
 )
 
 B2 = boolean(2).base
@@ -306,8 +307,9 @@ def test_enumeration_guard():
 def test_qlattice_bounds_and_pointwise_join_table():
     for l1, l2 in itertools.product(standard_lattices().values(), repeat=2):
         q = enumerate_Q(l1, l2)
-        assert q.top_map.table == separation_state(l1, l2).table
-        assert q.bottom_map.table == absurd_state(l1, l2).table
+        # Q's bounds as its tables find them, not as index_of does
+        assert q.maps[q.lattice.top].table == separation_state(l1, l2).table
+        assert q.maps[q.lattice.bottom].table == absurd_state(l1, l2).table
         t = np.array([f.table for f in q.maps])
         lub = np.array([[brute_lub(l2.leq, [a, b]) for b in range(len(l2))]
                         for a in range(len(l2))])
@@ -399,8 +401,29 @@ def test_in_guard_pair_that_ran_out_of_memory_enumerates():
 
 def test_oversized_q_is_refused_before_its_tables_are_built():
     # 13,376 maps: the order, meet and join tables would need several GB
+    q = enumerate_Q(mo(3).base, mo(3).base)
     with pytest.raises(TooLarge, match="13376 maps"):
-        enumerate_Q(mo(3).base, mo(3).base)
+        q.lattice
+
+
+@pytest.mark.parametrize("n, k", list(itertools.product((1, 2, 3), repeat=2)))
+def test_mo_to_mo_counts_match_the_closed_form_without_tables(n, k):
+    l1, l2 = mo(n).base, mo(k).base
+    q = enumerate_Q(l1, l2)
+    assert len(q) == mo_join_map_count(n, k)
+    assert q.top_map.table == separation_state(l1, l2).table
+    assert q.bottom_map.table == absurd_state(l1, l2).table
+    assert q.index_of(q.maps[-1]) == len(q) - 1
+    assert "lattice" not in vars(q)
+
+
+def test_index_of_refuses_a_map_of_another_signature():
+    q = enumerate_Q(B2, CHAIN3)
+    for other in (JoinMap(B2, CHAIN2, (0, 1, 1, 1)), galois_dual(q.maps[0])):
+        with pytest.raises(MixedSignatures):
+            q.index_of(other)
+    # the same table is one of Q's maps when the signatures agree
+    assert q.maps[q.index_of((0, 1, 1, 1))].table == (0, 1, 1, 1)
 
 
 def test_qlattice_closed_under_arbitrary_pointwise_joins():
