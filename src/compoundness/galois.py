@@ -73,9 +73,9 @@ class _LatticeMap:
         return self.table[x]
 
     def same_signature(self, other: "_LatticeMap") -> bool:
-        return self.source.same_structure(other.source) and self.target.same_structure(
-            other.target
-        )
+        """Whether ``other`` is a map of the same kind between the same lattices."""
+        return (type(self) is type(other) and self.source.same_structure(other.source)
+                and self.target.same_structure(other.target))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -99,7 +99,7 @@ class MeetMap(_LatticeMap):
 
 def map_leq(f: JoinMap | MeetMap, g: JoinMap | MeetMap) -> bool:
     """Pointwise order on maps of one kind: f <= g iff f(x) <= g(x) everywhere."""
-    if type(f) is not type(g) or not f.same_signature(g):
+    if not f.same_signature(g):
         raise MixedSignatures("maps differ in kind or in source or target lattices")
     return all(f.target.leq[f.table[x], g.table[x]] for x in range(len(f.source)))
 
@@ -123,6 +123,8 @@ def galois_dual(f: JoinMap) -> MeetMap:
     f*(b) is the join of every a with f(a) <= b, i.e. the weakest cause of
     b; the pair satisfies a <= f*(b) iff f(a) <= b.
     """
+    if not isinstance(f, JoinMap):
+        raise MixedSignatures("galois_dual takes a join-preserving map")
     table = _upper_adjoint(f.table, f.source, f.target)
     return MeetMap(source=f.target, target=f.source, table=table)
 
@@ -134,6 +136,8 @@ def adjoint_of_meetmap(g: MeetMap) -> JoinMap:
     because g preserves meets. This is :func:`galois_dual` between the
     order duals, and round-trips with it.
     """
+    if not isinstance(g, MeetMap):
+        raise MixedSignatures("adjoint_of_meetmap takes a meet-preserving map")
     table = _upper_adjoint(g.table, g.source.dual, g.target.dual)
     return JoinMap(source=g.target, target=g.source, table=table)
 
@@ -171,9 +175,11 @@ def pointwise_join(maps: Sequence[JoinMap], source: FiniteLattice | None = None,
             )
         return absurd_state(source, target)
     head = maps[0]
+    if not isinstance(head, JoinMap):
+        raise MixedSignatures("pointwise_join takes join-preserving maps")
     for f in maps[1:]:
         if not head.same_signature(f):
-            raise MixedSignatures("maps have different source or target lattices")
+            raise MixedSignatures("maps differ in kind or in source or target lattices")
     if source is not None and not head.source.same_structure(source):
         raise MixedSignatures("explicit source disagrees with the maps")
     if target is not None and not head.target.same_structure(target):
@@ -187,6 +193,8 @@ def pointwise_join(maps: Sequence[JoinMap], source: FiniteLattice | None = None,
 
 def compose_join_maps(outer: JoinMap, inner: JoinMap) -> JoinMap:
     """(outer o inner)(x) = outer(inner(x))."""
+    if not (isinstance(outer, JoinMap) and isinstance(inner, JoinMap)):
+        raise MixedSignatures("compose_join_maps takes join-preserving maps")
     if not inner.target.same_structure(outer.source):
         raise MixedSignatures("inner target does not match outer source")
     table = tuple(outer.table[inner.table[x]] for x in range(len(inner.source)))
@@ -211,7 +219,7 @@ class QLattice:
 
     def index_of(self, f: JoinMap | tuple[int, ...]) -> int:
         head = self.maps[0]
-        if isinstance(f, _LatticeMap) and not (isinstance(f, JoinMap) and head.same_signature(f)):
+        if isinstance(f, _LatticeMap) and not head.same_signature(f):
             raise MixedSignatures("the map differs in kind or in source or target lattices")
         table = f.table if isinstance(f, JoinMap) else tuple(f)
         # a bool or an integral float compares as an int, so check before the search
@@ -254,13 +262,16 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
     """Enumerate every join-preserving map from ``source`` to ``target``.
 
     Such a map is fixed by its images of the join-irreducibles (JIs), and
-    they are monotone; so candidates are built one JI at a time, keeping
-    images monotone on the JIs, and extended by joins. Each map arises
-    once, and sends the bottom to the bottom, as no JI lies below it. The
-    check of every binary join runs on every candidate, in row blocks;
-    table lookups are 1-D takes at x * |L2| + y. Q's tables wait for the
-    first read of ``QLattice.lattice``. Guarded to ``ENUMERATION_GUARD``
-    elements per lattice.
+    is monotone; so the candidates' tables are built in one pass over the
+    JIs, fewest elements below first. Each step branches every candidate
+    on the image v of JI j, keeps it if v lies above its column j (the join
+    of the images already placed below j), and joins v into every column
+    x >= j. Each map arises once, and sends the bottom to the bottom, as no
+    JI lies below it. A monotone table keeps the join of comparable
+    elements, so only incomparable pairs are checked, in row blocks; table
+    lookups are 1-D takes at x * |L2| + y. Q's tables wait for the first
+    read of ``QLattice.lattice``. Guarded to ``ENUMERATION_GUARD`` elements
+    per lattice.
     """
     if len(source) > ENUMERATION_GUARD or len(target) > ENUMERATION_GUARD:
         raise TooLarge(
@@ -268,28 +279,20 @@ def enumerate_Q(source: FiniteLattice, target: FiniteLattice) -> QLattice:
             f"{len(source)} and {len(target)}"
         )
     n, m = len(source), len(target)
-    jis = source.join_irreducibles()
+    # a linear extension of the JIs, which element indices need not be
+    jis = sorted(source.join_irreducibles(), key=lambda j: source.leq[:, j].sum())
     # elements and flat indices x * m + y alike fit in dtype
     dtype = np.min_scalar_type(m * m - 1)
     join, leq = target.join_table.astype(dtype).ravel(), target.leq.ravel()
-    # assign[:, i]: the image of jis[i] in each candidate
-    assign = np.zeros((1, 0), dtype=dtype)
-    for i, ji in enumerate(jis):
-        assign = np.column_stack((np.repeat(assign, m, axis=0),
-                                  np.tile(np.arange(m, dtype=dtype), len(assign))))
-        keep = np.ones(len(assign), dtype=bool)
-        for k in range(i):
-            if source.leq[jis[k], ji]:
-                keep &= leq.take(assign[:, k] * m + assign[:, i])
-            if source.leq[ji, jis[k]]:
-                keep &= leq.take(assign[:, i] * m + assign[:, k])
-        assign = assign[keep]
-    candidates = np.full((len(assign), n), target.bottom, dtype=dtype)
-    for x in range(n):
-        for i, ji in enumerate(jis):
-            if source.leq[ji, x]:
-                candidates[:, x] = join.take(candidates[:, x] * m + assign[:, i])
-    xs, ys = np.triu_indices(n)
+    candidates = np.full((1, n), target.bottom, dtype=dtype)
+    for j in jis:
+        v = np.tile(np.arange(m, dtype=dtype), len(candidates))
+        candidates = np.repeat(candidates, m, axis=0)
+        keep = leq.take(candidates[:, j] * m + v)
+        candidates, v = candidates[keep], v[keep, None]
+        up = source.leq[j]
+        candidates[:, up] = join.take(candidates[:, up] * m + v)
+    xs, ys = np.nonzero(np.triu(~(source.leq | source.leq.T)))
     xy = source.join_table[xs, ys]
     preserved = np.empty(len(candidates), dtype=bool)
     for rows in _row_blocks(len(candidates), len(xs)):

@@ -217,38 +217,24 @@ def _suite_prop2(rng: np.random.Generator, trials: int, rec: LawRecorder) -> Non
 
 
 def _quantale_spaces() -> list[ProperStateSpace]:
-    two = ProperStateSpace(("p", "q"), chain(2), (1, 1))
-    three = ProperStateSpace(("p", "q", "r"), chain(3), (1, 1, 2))
-    return [two, three]
+    """Two fixed spaces, then for each small lattice one space per choice
+    of filler: one state per join-irreducible keeps propagation total, and
+    a nonbottom filler state keeps the member count enumerable."""
+    spaces = [ProperStateSpace(("p", "q"), chain(2), (1, 1)),
+              ProperStateSpace(("p", "q", "r"), chain(3), (1, 1, 2))]
+    for lattice in (chain(2), chain(3), boolean(2).base):
+        jis = lattice.join_irreducibles()
+        for filler in jis:
+            c_map = jis + (filler,)
+            spaces.append(ProperStateSpace(
+                tuple(f"s{i}" for i in range(len(c_map))), lattice, c_map))
+    return spaces
 
 
 def _suite_quantale(rng: np.random.Generator, trials: int, rec: LawRecorder) -> None:
-    spaces = _quantale_spaces()
-    lattice_pool = [chain(2), chain(3), boolean(2).base]
-    # the space family is small, so repeated trials hit this cache
-    reports: dict[tuple, tuple] = {}
-    for trial in range(trials):
-        if trial < len(spaces):
-            key = ("fixed", trial)
-            space = spaces[trial]
-        else:
-            # one state per join-irreducible keeps propagation total, and a
-            # nonbottom filler state keeps the member count enumerable
-            pick = int(rng.integers(len(lattice_pool)))
-            lattice = lattice_pool[pick]
-            jis = list(lattice.join_irreducibles())
-            filler = jis[rng.integers(len(jis))]
-            c_map = tuple(jis) + (int(filler),)
-            key = ("pool", pick, c_map)
-            space = ProperStateSpace(
-                tuple(f"s{i}" for i in range(len(c_map))), lattice, c_map
-            )
-        if key in reports:
-            space, members, report = reports[key]
-        else:
-            members = enumerate_members(space)
-            report = check_quantale_laws(space, members)
-            reports[key] = (space, members, report)
+    for space in _quantale_spaces()[:trials]:
+        members = enumerate_members(space)
+        report = check_quantale_laws(space, members)
         where = f"states={space.states} c_map={space.c_map} members={len(members)}"
         for law, holds in report.laws.items():
             rec.require("quantale-" + law.replace("_", "-"), holds, where)

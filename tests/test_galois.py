@@ -33,7 +33,7 @@ from compoundness.galois import (
     pointwise_join,
     separation_state,
 )
-from compoundness.lattice import build_lattice
+from compoundness.lattice import build_lattice, lattice_from_order
 
 from oracles import (
     brute_glb,
@@ -57,6 +57,9 @@ N5 = build_lattice(["0", "1", "c", "b", "a"],
 C2XC3 = build_lattice([f"{i}{j}" for i in range(2) for j in range(3)],
                       [(f"{i}{j}", f"{i}{j + 1}") for i in range(2) for j in range(2)]
                       + [(f"0{j}", f"1{j}") for j in range(3)])
+# boolean(3) with its elements in reverse: top first, each set before its subsets
+B3_REVERSED = lattice_from_order(boolean(3).base.elements[::-1],
+                                 boolean(3).base.leq[::-1, ::-1])
 
 
 def identity_map(lat) -> JoinMap:
@@ -249,6 +252,26 @@ def test_map_leq_rejects_maps_of_different_kinds():
         map_leq(f, galois_dual(f))
 
 
+def test_galois_functions_reject_maps_of_the_other_kind():
+    # a meet map's table can pass a join map's checks, so each function checks the kind
+    for l1, l2 in [(CHAIN3, CHAIN3), (B2, CHAIN3), (B2, B2)]:
+        for f in enumerate_Q(l1, l2).maps:
+            with pytest.raises(MixedSignatures):
+                galois_dual(galois_dual(f))
+            with pytest.raises(MixedSignatures):
+                adjoint_of_meetmap(f)
+    for l1, l2, combine in [(B2, CHAIN3, lambda g, h: pointwise_join([g, h])),
+                            (CHAIN3, CHAIN3, compose_join_maps)]:
+        duals = [galois_dual(f) for f in enumerate_Q(l1, l2).maps]
+        for g, h in itertools.product(duals, repeat=2):
+            with pytest.raises(MixedSignatures):
+                combine(g, h)
+    # a join map and a meet map between the same lattices
+    f = identity_map(B2)
+    with pytest.raises(MixedSignatures):
+        pointwise_join([f, galois_dual(f)])
+
+
 # -- separation / absurd ---------------------------------------------------------
 
 
@@ -291,6 +314,8 @@ def test_enumerated_sizes_match_free_atom_choices():
         (B2, MO2),
         *((src, tgt) for src in (N5, C2XC3) for tgt in (CHAIN3, B2, MO2)),
         *((src, tgt) for tgt in (N5, C2XC3) for src in (CHAIN3, B2, MO2)),
+        (chain(1), chain(1)),
+        (B3_REVERSED, CHAIN2),
     ],
 )
 def test_enumeration_matches_brute_force(l1, l2):
