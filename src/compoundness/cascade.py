@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .density import DensityState, _update, carrier, lueders
+from .density import (ORTHOGONAL_CUTOFF, DensityState, _update, carrier, lueders,
+                      transition_probability)
 from .errors import BadShape, DimensionMismatch, ZeroOperator, ZeroVector
 from .hilbert import Subspace, _scaled, sasaki_s
 from .operators import CompoundOperator, TensorVector, induced_map
@@ -41,17 +43,24 @@ class CascadeStep:
     """One transition in a cascade run.
 
     Measurement steps carry the outcome probability; induction steps are
-    deterministic consequences and carry probability one.
+    deterministic consequences and carry probability one. For a ray a with
+    p = Tr(P_a rho) > 0, P_a rho P_a / p = |a><a| whatever rho is, so the
+    post-state is the pure state of ``carrier_post`` (None when that is 0),
+    built and validated as a ``DensityState`` on first read.
     """
 
     side: int
     kind: str
     measured_property: Subspace
     pre_state: DensityState
-    post_state: DensityState | None
     probability: float
     carrier_pre: Subspace
     carrier_post: Subspace
+
+    @cached_property
+    def post_state(self) -> DensityState | None:
+        f = self.carrier_post.frame
+        return DensityState(f @ f.conj().T) if f.shape[1] else None
 
 
 @dataclass(frozen=True)
@@ -64,14 +73,14 @@ class CascadeTrace:
 
 def _step(side: int, kind: str, prop: Subspace, pre: DensityState,
           carrier_pre: Subspace) -> CascadeStep:
-    """Update ``pre`` projectively onto the ray ``prop``: no post-state on an
-    orthogonal outcome, else ``prop`` is the post-carrier (range of P rho P)."""
-    p, post = _update(pre, prop)
-    if post is None:
+    """Measure or induce the ray ``prop`` from ``pre``, computing p = Tr(P rho) only: an
+    orthogonal outcome has a zero post-carrier, else ``prop`` (P rho P / p = |prop><prop|)."""
+    p = transition_probability(pre, prop)
+    if p <= ORTHOGONAL_CUTOFF:
         probability, carrier_post = 0.0, Subspace.zero(prop.ambient_dim)
     else:
         probability, carrier_post = (p if kind == MEASURE else 1.0), prop
-    return CascadeStep(side, kind, prop, pre, post, probability, carrier_pre, carrier_post)
+    return CascadeStep(side, kind, prop, pre, probability, carrier_pre, carrier_post)
 
 
 def run_cascade(op: CompoundOperator, left_atom: Subspace, right_atom: Subspace,
@@ -82,7 +91,8 @@ def run_cascade(op: CompoundOperator, left_atom: Subspace, right_atom: Subspace,
     state, induce the image of the collapsed carrier on the second side,
     update the second state projectively, then measure ``right_atom``.
     An orthogonal outcome terminates the run with joint probability zero.
-    Each step with a post-state has the ray it updated onto as post-carrier.
+    Each step with a post-state has the ray it updated onto as post-carrier,
+    and that ray's pure state, built and validated on first read, as post-state.
 
     The head of the run (the first measurement and the induced update)
     depends only on the operator, the order and the first atom. ``op``
@@ -107,9 +117,9 @@ def run_cascade(op: CompoundOperator, left_atom: Subspace, right_atom: Subspace,
 
     head = _head(op, order, first)
     h = head[0]
-    measured = CascadeStep(h.side, MEASURE, first, h.pre_state, h.post_state,
-                           h.probability, h.carrier_pre, h.carrier_post)
-    if head[-1].post_state is None:
+    measured = CascadeStep(h.side, MEASURE, first, h.pre_state, h.probability,
+                           h.carrier_pre, h.carrier_post)
+    if not head[-1].carrier_post.dim:
         return CascadeTrace((measured, *head[1:]), 0.0)
     induced = head[1]
     final = _step(induced.side, MEASURE, second, induced.post_state, induced.carrier_post)
@@ -131,7 +141,7 @@ def _head(op: CompoundOperator, order: str, atom: Subspace) -> tuple[CascadeStep
         (side1, rho1), (side2, rho2), bridge = (2, quad.rho2), (1, quad.rho1), quad.f21
     measured = _step(side1, MEASURE, atom, rho1, carrier(rho1))
     head: tuple[CascadeStep, ...] = (measured,)
-    if measured.post_state is not None:
+    if measured.carrier_post.dim:
         head += (_step(side2, INDUCE, induced_map(bridge)(measured.carrier_post),
                        rho2, carrier(rho2)),)
     vars(op)["_cascade_head"] = (key, head)  # as functools.cached_property stores on frozen objects

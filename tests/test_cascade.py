@@ -331,12 +331,13 @@ def test_reused_operator_gives_the_traces_of_fresh_ones():
 
 
 def _count_updates(monkeypatch):
-    """Count the projective updates the cascade makes from here on."""
+    """Count the cascade steps made from here on: each computes one outcome
+    probability (its post-state is built only when read)."""
     import compoundness.cascade as cascade
 
     calls = []
-    original = cascade._update
-    monkeypatch.setattr(cascade, "_update",
+    original = cascade.transition_probability
+    monkeypatch.setattr(cascade, "transition_probability",
                         lambda rho, a: calls.append(a) or original(rho, a))
     return calls
 
@@ -409,6 +410,24 @@ def test_a_sweep_makes_one_head_per_first_atom_and_one_tail_per_pair(monkeypatch
     assert all(len(t.steps) == 3 for t in traces)
     # a head is two updates (measure, induce); a tail is one (the final measurement)
     assert len(calls) == 2 * d1 + d1 * d2
+
+
+def test_a_sweep_that_reads_no_post_state_builds_one_state_per_row(monkeypatch):
+    # two reduced states from the quadruple, then the induced state of each row,
+    # which the row's final measurements share as their pre-state
+    rng = np.random.default_rng(36)
+    d1, d2 = 4, 5
+    op = from_tensor(random_tensor_vector(rng, d1, d2, 3), ANTILINEAR)
+    basis1, basis2 = random_unitary(rng, d1), random_unitary(rng, d2)
+    lefts = [ray(basis1[:, i]) for i in range(d1)]
+    rights = [ray(basis2[:, j]) for j in range(d2)]
+    built = []
+    original = DensityState.__post_init__
+    monkeypatch.setattr(DensityState, "__post_init__",
+                        lambda self: built.append(self) or original(self))
+    traces = [run_cascade(op, left, right) for left in lefts for right in rights]
+    assert all(len(t.steps) == 3 for t in traces)
+    assert len(built) == 2 + d1
 
 
 # -- born oracle -------------------------------------------------------------------
@@ -604,7 +623,6 @@ def test_manually_reversed_trace_fails_the_chain_check():
                 kind=step.kind,
                 measured_property=step.measured_property,
                 pre_state=step.pre_state,
-                post_state=step.post_state,
                 probability=step.probability,
                 carrier_pre=step.carrier_post,
                 carrier_post=step.carrier_pre,
@@ -638,7 +656,9 @@ def _with_state_carriers(trace):
 def test_post_carriers_are_the_rays_updated_onto():
     # the range of P_a rho P_a for a ray a with Tr(P_a rho) > 0 is a; the
     # kernel eigenvectors of rank-deficient reduced states give orthogonal
-    # outcomes at the first or the final measurement
+    # outcomes at the first or the final measurement. Each post-state, the
+    # pure state |a><a| of its post-carrier built on first read, matches the
+    # general frame update `lueders`, which serves as the oracle.
     rng = np.random.default_rng(15)
     kept = cut = 0
     chain_results = set()
@@ -656,12 +676,17 @@ def test_post_carriers_are_the_rays_updated_onto():
                         for order in (LEFT_FIRST, RIGHT_FIRST):
                             trace = run_cascade(op, ray(psi), ray(phi), order=order)
                             for step in trace.steps:
-                                if step.post_state is None:
+                                post = step.post_state
+                                assert step.post_state is post
+                                assert (post is None) == (step.carrier_post.dim == 0)
+                                if post is None:
                                     cut += 1
                                     continue
                                 kept += 1
                                 assert step.carrier_post.dim == 1
-                                assert step.carrier_post.approx_equal(carrier(step.post_state))
+                                assert step.carrier_post.approx_equal(carrier(post))
+                                expected = lueders(step.pre_state, step.measured_property)
+                                assert np.linalg.norm(post.matrix - expected.matrix) <= 1e-12
                             holds = chain_order_check(trace)
                             assert chain_order_check(_with_state_carriers(trace)) == holds
                             chain_results.add(holds)
