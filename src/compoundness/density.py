@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadShape, DimensionMismatch, NotADensity, ZeroVector
-from .hilbert import DEFAULT_TOL, Subspace, _owned_matrix, _rank, span
+from .hilbert import DEFAULT_TOL, Subspace, _finite, _owned_matrix, _rank, span
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -37,7 +37,7 @@ class DensityState:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _owned_matrix(self.matrix)
+        m = _finite(_owned_matrix(self.matrix))
         object.__setattr__(self, "matrix", m)
         if m.shape[0] != m.shape[1]:
             raise BadShape(f"density operator must be square, got {m.shape}")
@@ -90,33 +90,30 @@ def carrier(rho: DensityState) -> Subspace:
     return rho._carrier
 
 
-def _compressed(rho: DensityState, a: Subspace) -> tuple[float, np.ndarray]:
-    """(Tr K clipped to [0, 1], K = F^H rho F) for the frame F of ``a``."""
+def _frame_in(rho: DensityState, a: Subspace) -> np.ndarray:
+    """The frame of ``a``, which must live in the space of ``rho``."""
     if a.ambient_dim != rho.dim:
-        raise DimensionMismatch(
-            f"property lives in C^{a.ambient_dim}, state in C^{rho.dim}"
-        )
-    f = a.frame
-    k = f.conj().T @ rho.matrix @ f
-    p = float(k.trace().real)
-    return min(max(p, 0.0), 1.0), k
+        raise DimensionMismatch(f"property lives in C^{a.ambient_dim}, state in C^{rho.dim}")
+    return a.frame
 
 
 def transition_probability(rho: DensityState, a: Subspace) -> float:
     """Probability of the outcome ``a``: Tr(P_a rho), clipped to [0, 1].
 
-    Computed as Tr(F^H rho F) for the orthonormal frame F of ``a``, which
-    equals Tr(P_a rho) since P_a = F F^H.
+    Computed as Re <F, rho F> = Tr(F^H rho F) for the orthonormal frame F
+    of ``a`` (one ``np.vdot``), which equals Tr(P_a rho) since P_a = F F^H.
     """
-    return _compressed(rho, a)[0]
+    f = _frame_in(rho, a)
+    return min(max(float(np.vdot(f, rho.matrix @ f).real), 0.0), 1.0)
 
 
 def _update(rho: DensityState, a: Subspace) -> tuple[float, DensityState | None]:
-    """(Tr(P_a rho), the update of ``rho`` onto ``a`` as :func:`lueders` gives it)."""
-    p, k = _compressed(rho, a)
+    """(Tr(P_a rho), the update :func:`lueders` gives), both from K = F^H rho F."""
+    f = _frame_in(rho, a)
+    k = f.conj().T @ rho.matrix @ f
+    p = min(max(float(k.trace().real), 0.0), 1.0)
     if p <= ORTHOGONAL_CUTOFF:
         return p, None
-    f = a.frame
     return p, _normalized(f @ k @ f.conj().T)
 
 

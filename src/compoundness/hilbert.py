@@ -19,12 +19,16 @@ from .errors import BadBasis, BadShape, DimensionMismatch, NonFinite
 DEFAULT_TOL = 1e-9
 
 
-def _as_complex_matrix(a) -> np.ndarray:
+def _as_matrix(a) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise BadShape(f"expected a matrix, got ndim={arr.ndim}")
+    return arr
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFinite("matrix contains NaN or infinite entries")
     return arr
@@ -46,8 +50,8 @@ def _rank(s: np.ndarray, tol: float) -> int:
 
 
 def _owned_matrix(a) -> np.ndarray:
-    """A private, read-only copy of ``a``, checked as by ``_as_complex_matrix``."""
-    arr = _as_complex_matrix(np.array(a, dtype=complex, order="C"))
+    """A private, read-only copy of ``a``, shaped by ``_as_matrix``; entries unchecked."""
+    arr = _as_matrix(np.array(a, dtype=complex, order="C"))
     arr.setflags(write=False)
     return arr
 
@@ -59,7 +63,9 @@ class Subspace:
     The zero subspace has a frame with zero columns, which keeps the
     orthonormality invariant meaningful. Containment is decided on projectors,
     within ``tol`` in Frobenius norm, and equality is containment both ways.
-    The frame is a private, read-only copy of the array passed in.
+    The frame is a private, read-only copy of the array passed in, read once
+    for dev = max|F^H F - I|. NaN or infinite entries, a tol not >= 0 (NaN
+    too) or a bad dev fail that one test, and are then named in that order.
     """
 
     frame: np.ndarray
@@ -68,12 +74,17 @@ class Subspace:
     def __post_init__(self) -> None:
         frame = _owned_matrix(self.frame)
         object.__setattr__(self, "frame", frame)
-        if self.tol < 0:
-            raise ValueError("tolerance must be nonnegative")
-        gram = frame.conj().T @ frame
-        gram.flat[:: gram.shape[0] + 1] -= 1.0
+        if frame.shape[1] == 1:
+            dev = abs(np.vdot(frame, frame) - 1.0)
+        else:
+            gram = frame.conj().T @ frame
+            gram.flat[:: gram.shape[0] + 1] -= 1.0
+            dev = np.abs(gram).max(initial=0.0)
         # never past DEFAULT_TOL, so that projector() is a projector at any tol
-        if gram.shape[0] and np.abs(gram).max() > min(max(self.tol, 1e-12), DEFAULT_TOL):
+        if not (dev <= min(max(self.tol, 1e-12), DEFAULT_TOL) and self.tol >= 0):
+            _finite(frame)
+            if not self.tol >= 0:
+                raise ValueError("tolerance must be nonnegative")
             raise BadBasis("frame columns are not orthonormal")
 
     @classmethod
@@ -136,19 +147,21 @@ def span(vectors, tol: float = DEFAULT_TOL) -> Subspace:
     spans the zero subspace. The matrix is first brought to unit scale by
     :func:`_scaled`, so that the largest singular value neither underflows
     nor overflows. One column needs no SVD: its norm s is its only singular
-    value (a ray iff s > tol * s).
+    value (a ray iff s > tol * s), finite exactly when every entry is.
     """
-    arr = _as_complex_matrix(vectors)
+    arr = _as_matrix(vectors)
     if arr.size == 0:
         return Subspace.zero(arr.shape[0], tol)
     x = _scaled(arr)
     if arr.shape[1] == 1:
         r = x.view(float)
         s = math.sqrt(np.vdot(r, r))
+        if not math.isfinite(s):
+            raise NonFinite("matrix contains NaN or infinite entries")
         if not s > tol * s:
             return Subspace.zero(arr.shape[0], tol)
         return Subspace(x / s, tol)
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    u, s, _ = np.linalg.svd(_finite(x), full_matrices=False)
     return Subspace(u[:, :_rank(s, tol)], tol)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NonFinite,
     ZeroOperator,
 )
-from .hilbert import DEFAULT_TOL, Subspace, _owned_matrix, _scaled, span
+from .hilbert import DEFAULT_TOL, Subspace, _finite, _owned_matrix, _scaled, span
 
 LINEAR = "linear"
 ANTILINEAR = "antilinear"
@@ -50,7 +50,7 @@ class CompoundOperator:
     linearity: str = LINEAR
 
     def __post_init__(self) -> None:
-        m = _owned_matrix(self.matrix)
+        m = _finite(_owned_matrix(self.matrix))
         object.__setattr__(self, "matrix", m)
         if self.linearity not in (LINEAR, ANTILINEAR):
             raise ValueError(f"linearity must be {LINEAR!r} or {ANTILINEAR!r}")

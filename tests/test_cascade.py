@@ -19,6 +19,7 @@ from compoundness.cascade import (
 from compoundness.density import (
     ORTHOGONAL_CUTOFF,
     DensityState,
+    _update,
     carrier,
     lueders,
     transition_probability,
@@ -192,6 +193,19 @@ def test_probabilities_of_complementary_outcomes_sum_to_one():
         a = random_subspace(rng, dim)
         total = transition_probability(rho, a) + transition_probability(rho, ortho_s(a))
         assert abs(total - 1.0) <= 1e-12
+
+
+def test_transition_probability_is_the_trace_of_the_projected_state():
+    rng = np.random.default_rng(12)
+    for dim in range(1, 7):
+        for _ in range(10):
+            rho = random_density(rng, dim)
+            for rank in range(dim + 1):
+                a = random_subspace(rng, dim, rank=rank)
+                p = a.frame @ a.frame.conj().T
+                expected = np.trace(p @ rho.matrix).real
+                assert abs(transition_probability(rho, a) - expected) <= 1e-15
+                assert abs(_update(rho, a)[0] - expected) <= 1e-15
 
 
 # -- worked cascade examples ------------------------------------------------------

@@ -47,10 +47,18 @@ def test_span_of_mixed_diagonals_is_full_plane():
 
 
 def test_span_rejects_bad_inputs():
-    with pytest.raises(BadShape):
-        span(np.zeros((2, 2, 2)))
-    with pytest.raises(NonFinite):
-        span(np.array([[np.nan], [0.0]]))
+    for build in (span, Subspace):
+        with pytest.raises(BadShape):
+            build(np.zeros((2, 2, 2)))
+        # a bad entry is named before a bad tolerance, one column or several
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+            for cols in (1, 3):
+                frame = np.eye(4, dtype=complex)[:, :cols]
+                frame[1, 0] = bad
+                for tol in (DEFAULT_TOL, -1e-9, np.nan):
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        with pytest.raises(NonFinite):
+                            build(frame, tol)
 
 
 def _svd_span(column, tol):
@@ -114,8 +122,23 @@ def test_span_of_several_columns_keeps_the_frame_of_an_unscaled_svd():
 
 
 def test_a_negative_tolerance_is_refused():
+    for cols in (0, 1, 3):
+        frame = np.eye(3, dtype=complex)[:, :cols]
+        for tol in (-1e-9, -1.0, np.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                Subspace(frame, tol)
+    # the tolerance is named before the frame's orthonormality
     with pytest.raises(ValueError, match="nonnegative"):
-        Subspace(np.eye(2), -1e-9)
+        Subspace(np.column_stack([E1, E1]), np.nan)
+
+
+def test_a_nan_tolerance_is_refused_by_span():
+    # a NaN tolerance compares false both ways: it would make every span zero,
+    # a ray not below itself and a ray's join with a plane zero
+    v = np.array([1.0, 2.0j, -3.0])
+    for vectors in (v, np.column_stack([v, np.ones(3)]), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            span(vectors, np.nan)
 
 
 def test_span_of_one_column_is_zero_for_the_zero_vector_or_tol_at_least_one():
@@ -218,6 +241,16 @@ def test_subspace_frame_must_be_orthonormal():
 
     with pytest.raises(BadBasis):
         Subspace(np.column_stack([E1, E1]))
+    # finite entries whose Gram matrix overflows are not orthonormal either,
+    # also where the overflow leaves NaN in it (complex entries)
+    for big in (1e200, 1e200 + 1e200j, -1e200j):
+        for cols in (1, 3):
+            with np.errstate(invalid="ignore", over="ignore"):
+                with pytest.raises(BadBasis):
+                    Subspace(np.full((3, cols), big))
+    # a vector is promoted to one column
+    sub = Subspace(E2)
+    assert sub.frame.shape == (2, 1) and np.array_equal(sub.frame[:, 0], E2)
 
 
 def test_subspace_frame_check_stops_at_the_default_tolerance():
