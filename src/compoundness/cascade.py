@@ -100,7 +100,7 @@ def run_cascade(op: CompoundOperator, left_atom: Subspace, right_atom: Subspace,
     first atom (one row of an outcome grid) compute it once; only the
     final measurement runs per pair. One head per operator is kept.
     """
-    if op.is_zero():
+    if "_cascade_head" not in vars(op) and op.is_zero():  # a kept head: found nonzero
         raise ZeroOperator("cannot run a cascade from the zero operator")
     if left_atom.dim != 1 or right_atom.dim != 1:
         raise BadShape("measured properties must be atoms (rays)")
@@ -160,15 +160,16 @@ def born_probability(tv: TensorVector, psi, phi) -> float:
     products as ``np.kron`` on vectors). When a squared norm or their
     product is not a normal float, all three vectors are first brought to
     unit scale by powers of two, so nonzero multiples agree within rounding.
+    An outcome is scanned for a nonzero entry only when its squared norm is 0.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if not psi.any() or not phi.any():
+    norms = (float(np.vdot(psi, psi).real), float(np.vdot(phi, phi).real), tv._state_norm2)
+    if (norms[0] == 0.0 and not psi.any()) or (norms[1] == 0.0 and not phi.any()):
         raise ZeroVector("measurement outcomes must be nonzero vectors")
     if psi.shape[0] != tv.left_basis.shape[0] or phi.shape[0] != tv.right_basis.shape[0]:
         raise DimensionMismatch("outcome vectors do not match the state's spaces")
     state = tv._state
-    norms = (float(np.vdot(psi, psi).real), float(np.vdot(phi, phi).real), tv._state_norm2)
     denominator = math.prod(norms)
     if not (sys.float_info.min <= min(*norms, denominator) and denominator < math.inf):
         psi, phi, state = _scaled(psi), _scaled(phi), _scaled(state)
@@ -176,7 +177,7 @@ def born_probability(tv: TensorVector, psi, phi) -> float:
         if norms[2] == 0.0:
             raise ZeroOperator("the compound state has zero norm")
         denominator = math.prod(norms)
-    overlap = np.vdot(np.outer(psi, phi).ravel(), state)
+    overlap = np.vdot(np.multiply(psi[:, None], phi[None, :]).ravel(), state)
     return min(max(float(abs(overlap) ** 2) / denominator, 0.0), 1.0)
 
 

@@ -10,6 +10,7 @@ tolerance that governs every rank decision and comparison.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,8 @@ from .errors import BadBasis, BadShape, DimensionMismatch, NonFinite
 DEFAULT_TOL = 1e-9
 
 
-def _as_matrix(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
+def _as_matrix(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with a vector made one column; BadShape unless it is then 2-D."""
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -77,8 +78,9 @@ class Subspace:
         if frame.shape[1] == 1:
             dev = abs(np.vdot(frame, frame) - 1.0)
         else:
-            gram = frame.conj().T @ frame
-            gram.flat[:: gram.shape[0] + 1] -= 1.0
+            with np.errstate(invalid="ignore", over="ignore"):  # non-finite: checked below
+                gram = frame.conj().T @ frame
+            gram.ravel()[:: gram.shape[0] + 1] -= 1.0  # the diagonal, through a view
             dev = np.abs(gram).max(initial=0.0)
         # never past DEFAULT_TOL, so that projector() is a projector at any tol
         if not (dev <= min(max(self.tol, 1e-12), DEFAULT_TOL) and self.tol >= 0):
@@ -147,21 +149,28 @@ def span(vectors, tol: float = DEFAULT_TOL) -> Subspace:
     spans the zero subspace. The matrix is first brought to unit scale by
     :func:`_scaled`, so that the largest singular value neither underflows
     nor overflows. One column needs no SVD: its norm s is its only singular
-    value (a ray iff s > tol * s), finite exactly when every entry is.
+    value (a ray iff s > tol * s), finite exactly when every entry is. When
+    s^2 is a normal float the column is used unscaled: a power of two cancels
+    exactly in x / s, so the frame has the scaled path's bits.
     """
-    arr = _as_matrix(vectors)
+    arr = _as_matrix(np.asarray(vectors, dtype=complex))
     if arr.size == 0:
         return Subspace.zero(arr.shape[0], tol)
-    x = _scaled(arr)
     if arr.shape[1] == 1:
+        x = np.ascontiguousarray(arr)
         r = x.view(float)
-        s = math.sqrt(np.vdot(r, r))
+        s2 = float(np.vdot(r, r))
+        if not sys.float_info.min <= s2 < math.inf:
+            x = _scaled(x)
+            r = x.view(float)
+            s2 = float(np.vdot(r, r))
+        s = math.sqrt(s2)
         if not math.isfinite(s):
             raise NonFinite("matrix contains NaN or infinite entries")
         if not s > tol * s:
             return Subspace.zero(arr.shape[0], tol)
         return Subspace(x / s, tol)
-    u, s, _ = np.linalg.svd(_finite(x), full_matrices=False)
+    u, s, _ = np.linalg.svd(_finite(_scaled(arr)), full_matrices=False)
     return Subspace(u[:, :_rank(s, tol)], tol)
 
 

@@ -264,6 +264,11 @@ def test_product_state_chain_descends_with_aligned_or_orthogonal_atoms():
 def test_cascade_rejects_zero_operator_and_non_rays():
     with pytest.raises(ZeroOperator):
         run_cascade(CompoundOperator(np.zeros((2, 2))), ray(E1), ray(E1))
+    # the zero operator is named before an atom's shape or dimension
+    with pytest.raises(ZeroOperator):
+        run_cascade(CompoundOperator(np.zeros((2, 2))), Subspace.full(2), ray(E1))
+    with pytest.raises(ZeroOperator):
+        run_cascade(CompoundOperator(np.zeros((3, 2))), ray(E1), ray(E1))
     with pytest.raises(BadShape):
         run_cascade(uniform_pair_state(), Subspace.full(2), ray(E1))
 
@@ -426,6 +431,20 @@ def test_a_sweep_makes_one_head_per_first_atom_and_one_tail_per_pair(monkeypatch
     assert len(calls) == 2 * d1 + d1 * d2
 
 
+def test_a_sweep_scans_its_operator_for_zero_once(monkeypatch):
+    rng = np.random.default_rng(37)
+    op = from_tensor(random_tensor_vector(rng, 3, 2, 2), ANTILINEAR)
+    basis1, basis2 = random_unitary(rng, 3), random_unitary(rng, 2)
+    scans = []
+    original = CompoundOperator.is_zero
+    monkeypatch.setattr(CompoundOperator, "is_zero",
+                        lambda self: scans.append(self) or original(self))
+    run_cascade(op, ray(basis1[:, 0]), ray(basis2[:, 0]))
+    first = len(scans)  # the first run's scan, and the quadruple's own
+    _all_pairs(lambda: op, basis1, basis2)
+    assert len(scans) == first and set(scans) == {op}
+
+
 def test_a_sweep_that_reads_no_post_state_builds_one_state_per_row(monkeypatch):
     # two reduced states from the quadruple, then the induced state of each row,
     # which the row's final measurements share as their pre-state
@@ -474,6 +493,16 @@ def test_born_rejects_zero_vectors():
     tv = random_tensor_vector(np.random.default_rng(6), 2, 2, 1)
     with pytest.raises(ZeroVector):
         born_probability(tv, np.zeros(2), E1)
+    # a zero outcome is named before a dimension mismatch
+    for psi, phi in ((np.zeros(2), np.ones(3)), (np.ones(3), np.zeros(2))):
+        with pytest.raises(ZeroVector):
+            born_probability(tv, psi, phi)
+    # a squared norm that underflows to 0 is not a zero vector
+    tiny, unit = np.full(2, 1e-320), np.ones(2)
+    for (psi, phi), expected in (((tiny, E1), (unit, E1)), ((E1, tiny), (E1, unit)),
+                                 ((tiny, tiny), (unit, unit))):
+        assert born_probability(tv, psi, phi) == pytest.approx(
+            born_probability(tv, *expected), abs=1e-12)
 
 
 def test_tensor_vector_keeps_private_copies_of_its_arrays():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from compoundness.hilbert import (
     DEFAULT_TOL,
     Subspace,
     _rank,
+    _scaled,
     join_s,
     meet_s,
     ortho_s,
@@ -50,13 +53,15 @@ def test_span_rejects_bad_inputs():
     for build in (span, Subspace):
         with pytest.raises(BadShape):
             build(np.zeros((2, 2, 2)))
-        # a bad entry is named before a bad tolerance, one column or several
+        # a bad entry is named before a bad tolerance, one column or several,
+        # and without a numpy warning on the way
         for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
-            for cols in (1, 3):
+            for cols in (1, 2, 3):
                 frame = np.eye(4, dtype=complex)[:, :cols]
                 frame[1, 0] = bad
                 for tol in (DEFAULT_TOL, -1e-9, np.nan):
-                    with np.errstate(invalid="ignore", over="ignore"):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
                         with pytest.raises(NonFinite):
                             build(frame, tol)
 
@@ -68,18 +73,30 @@ def _svd_span(column, tol):
     return rank, u[:, :rank] @ u[:, :rank].conj().T
 
 
+def _scaled_frame(column):
+    """The one-column frame as the scaled algorithm builds it: the column
+    scaled by :func:`_scaled`, over the norm of the scaled column."""
+    x = _scaled(column[:, None])
+    r = x.view(float)
+    return x / np.sqrt(np.vdot(r, r))
+
+
 def test_span_of_one_column_matches_its_svd():
     rng = np.random.default_rng(40)
     for dim in range(1, 13):
         for _ in range(10):
-            v = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
-            v /= np.linalg.norm(v)
-            for scale in (1.0, 1e-320, 1e-200, 1e200, 1e308):
-                column = v * scale
-                rank, expected = _svd_span(column, 1e-9)
+            u = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+            u /= np.linalg.norm(u, axis=0)
+            # squared norms that are normal floats take the unscaled path,
+            # the others the scaled one; both give the scaled algorithm's bits
+            for scale in (1e-150, 1.0, 1e150, 1e-320, 1e-200, 1e200, 1e308):
+                column = (u * scale)[:, 1]  # strided, as a column of a basis
+                rank, expected = _svd_span(column[:, None], 1e-9)
                 sub = span(column)
                 assert sub.dim == rank == 1
                 assert np.abs(sub.projector() - expected).max() <= 1e-12
+                assert abs(np.vdot(sub.frame, sub.frame) - 1.0) <= 1e-15
+                assert sub.frame.tobytes() == _scaled_frame(column).tobytes()
 
 
 def test_span_of_one_column_whose_norm_overflows_is_its_ray():
@@ -89,6 +106,7 @@ def test_span_of_one_column_whose_norm_overflows_is_its_ray():
         sub = ray(np.array(column))
         u = np.array(direction) / np.linalg.norm(direction)
         assert np.abs(sub.projector() - np.outer(u, u.conj())).max() <= 1e-15
+        assert abs(np.vdot(sub.frame, sub.frame) - 1.0) <= 1e-15
 
 
 def test_span_of_several_columns_whose_largest_singular_value_overflows():
@@ -143,18 +161,23 @@ def test_a_nan_tolerance_is_refused_by_span():
 
 def test_span_of_one_column_is_zero_for_the_zero_vector_or_tol_at_least_one():
     assert span(np.zeros(3)).dim == 0
+    assert span(np.zeros((3, 2))[:, 1]).dim == 0
     assert _svd_span(np.zeros((3, 1)), 1e-9)[0] == 0
     v = np.array([1.0, 2.0j, -3.0])
     for tol in (1.0, 2.5):
         assert _svd_span(v[:, None], tol)[0] == 0
-        sub = span(v, tol)
-        assert (sub.dim, sub.ambient_dim, sub.tol) == (0, 3, tol)
+        for scale in (1e-200, 1.0, 1e200):  # unscaled and scaled paths
+            sub = span(v * scale, tol)
+            assert (sub.dim, sub.ambient_dim, sub.tol) == (0, 3, tol)
 
 
 def test_span_of_one_column_rejects_non_finite_entries_and_ray_rejects_zero():
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
-        with pytest.raises(NonFinite):
-            span(np.array([1.0, bad]))
+        for other in (1e-200, 1.0, 1e200):
+            with pytest.raises(NonFinite):
+                span(np.array([other, bad]))
+            with pytest.raises(NonFinite):
+                span(np.array([[other, 0.0], [bad, 1.0]])[:, 0])
     with pytest.raises(BadShape):
         ray(np.zeros(2))
 
