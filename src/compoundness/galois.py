@@ -32,29 +32,23 @@ Q_GUARD = 4096
 
 def is_join_preserving(table: Sequence[int], source: FiniteLattice,
                        target: FiniteLattice) -> bool:
-    """Whether ``table`` sends the bottom to the bottom and preserves all
-    binary joins (sufficient for all joins between finite lattices)."""
+    """Whether ``table`` keeps the bottom and the join of every two distinct
+    elements other than it, which between finite lattices keeps all joins."""
     if len(table) != len(source) or not _indices_ok(table, len(target)):
         return False
     if table[source.bottom] != target.bottom:
         return False
-    return _preserves(table, source._join_rows, target._join_rows)
+    join = target._join_rows
+    for x, y, xy in source._join_pairs:
+        if table[xy] != join[table[x]][table[y]]:
+            return False
+    return True
 
 
 def is_meet_preserving(table: Sequence[int], source: FiniteLattice,
                        target: FiniteLattice) -> bool:
     """Dual of :func:`is_join_preserving`: top to top, binary meets kept."""
     return is_join_preserving(table, source.dual, target.dual)
-
-
-def _preserves(table: Sequence[int], op1: list[list[int]], op2: list[list[int]]) -> bool:
-    """Whether table[op1[x][y]] == op2[table[x]][table[y]] for all x <= y."""
-    for x, row in enumerate(op1):
-        image = op2[table[x]]
-        for y in range(x, len(row)):
-            if table[row[y]] != image[table[y]]:
-                return False
-    return True
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -72,6 +66,10 @@ class _LatticeMap:
         self.source.check_element(x)
         return self.table[x]
 
+    def _keep_table(self) -> None:
+        if type(self.table) is not tuple:  # a validated list or array, as Python ints
+            object.__setattr__(self, "table", tuple(map(int, self.table)))
+
     def same_signature(self, other: "_LatticeMap") -> bool:
         """Whether ``other`` is a map of the same kind between the same lattices."""
         return (type(self) is type(other) and self.source.same_structure(other.source)
@@ -85,6 +83,7 @@ class JoinMap(_LatticeMap):
     def __post_init__(self) -> None:
         if not is_join_preserving(self.table, self.source, self.target):
             raise NotJoinPreserving(f"table {self.table} does not preserve joins")
+        self._keep_table()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -95,6 +94,7 @@ class MeetMap(_LatticeMap):
     def __post_init__(self) -> None:
         if not is_meet_preserving(self.table, self.source, self.target):
             raise NotMeetPreserving(f"table {self.table} does not preserve meets")
+        self._keep_table()
 
 
 def map_leq(f: JoinMap | MeetMap, g: JoinMap | MeetMap) -> bool:
@@ -247,13 +247,19 @@ class QLattice:
             raise TooLarge(f"Q has {len(self)} maps; at about 9 bytes a pair its tables would "
                            f"take {9 * len(self) ** 2 / 1e9:.1f} GB (guard: {Q_GUARD} maps)")
         arr, head = self._tables, self.maps[0]
-        m = len(head.target)
-        join = head.target.join_table.astype(arr.dtype).ravel()
+        n, m = len(head.source), len(head.target)
+        join = head.target.join_table.astype(np.int64)
         # a map's key is its table read as a base-|L2| number
-        radix = m ** np.arange(len(head.source) - 1, -1, -1)
+        radix = m ** np.arange(n - 1, -1, -1)
+
+        def pair_keys(r: slice, c: slice) -> np.ndarray:  # digit by digit, by Horner's rule
+            key = join[arr[r, 0]][:, arr[c, 0]]
+            for x in range(1, n):
+                key *= m
+                key += join[arr[r, x]][:, arr[c, x]]
+            return key
         labels = tuple(",".join(str(v) for v in f.table) for f in self.maps)
-        join_table = _table_by_key(
-            arr @ radix, lambda r, c: join.take(arr[r, None] * m + arr[c]) @ radix, labels, "join")
+        join_table = _table_by_key(arr @ radix, pair_keys, labels, "join")
         # distinct maps under a pointwise order form a poset
         return _lattice(labels, join_table == np.arange(len(arr)), join_table)
 

@@ -81,6 +81,12 @@ class FiniteLattice:
     def _join_rows(self) -> list[list[int]]:
         return self.join_table.tolist()
 
+    @cached_property
+    def _join_pairs(self) -> list[tuple[int, int, int]]:
+        """(x, y, x v y) for each x < y with neither one the bottom."""
+        rest = [v for v in range(len(self)) if v != self.bottom]
+        return [(x, y, self._join_rows[x][y]) for i, x in enumerate(rest) for y in rest[i + 1:]]
+
     def label(self, x: int) -> str:
         self.check_element(x)
         return self.elements[x]

@@ -107,6 +107,38 @@ def test_meet_preservation_matches_brute_force_on_every_table(l1, l2):
         assert is_meet_preserving(table, l1, l2) == (table in expected)
 
 
+@pytest.mark.parametrize("l1, l2", [(B3_REVERSED, CHAIN2), (N5, CHAIN3), (C2XC3, CHAIN2),
+                                    (CHAIN3.dual, B2), (chain(1), B2), (MO2, CHAIN3)])
+def test_join_preservation_matches_brute_force_on_every_table(l1, l2):
+    # bottoms at other indices than 0, and join-irreducibles out of order
+    expected = brute_join_maps(l1, l2)
+    for table in itertools.product(range(len(l2)), repeat=len(l1)):
+        assert is_join_preserving(table, l1, l2) == (table in expected)
+    some = max(expected)
+    for table in (some[:-1], some + (l2.bottom,), (len(l2),) * len(l1),
+                  tuple(bool(v) for v in some)):
+        assert not is_join_preserving(table, l1, l2)
+
+
+def test_a_map_keeps_its_table_when_the_callers_list_changes():
+    t = [0, 1, 1, 1]
+    f = JoinMap(source=B2, target=CHAIN2, table=t)
+    t[3] = 0
+    assert f.table == (0, 1, 1, 1)
+    assert is_join_preserving(f.table, B2, CHAIN2)
+    assert galois_dual(f).table == (B2.bottom, B2.top)
+
+
+@pytest.mark.parametrize("table", [np.array([0, 1]), [0, 1]], ids=["array", "list"])
+def test_a_map_from_an_array_or_a_list_holds_a_tuple_of_ints(table):
+    q = enumerate_Q(CHAIN2, CHAIN2)
+    f = JoinMap(source=CHAIN2, target=CHAIN2, table=table)
+    for g in (f, MeetMap(source=CHAIN2, target=CHAIN2, table=table)):
+        assert type(g.table) is tuple and all(type(v) is int for v in g.table)
+    assert q.index_of(f) == 1
+    assert classify_map(f) == classify_map(q.maps[1])
+
+
 def test_reprs_name_the_map_kind_and_table():
     f = separation_state(CHAIN2, CHAIN3)
     assert repr(f) == "JoinMap((0, 2))"
@@ -400,6 +432,18 @@ def test_q_lattice_build_stays_in_quadratic_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_q_join_keys_are_built_without_a_per_position_temporary():
+    # a rows x cols x |L1| index of the pointwise joins peaks at 3.7 MiB here
+    enumerate_Q(MO2, MO2).lattice.join_table
+    tracemalloc.start()
+    try:
+        enumerate_Q(MO2, MO2).lattice.join_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def test_candidate_filter_runs_in_row_blocks():
