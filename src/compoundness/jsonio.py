@@ -104,7 +104,7 @@ def dump_join_map(f: JoinMap) -> dict:
     return {
         "source": dump_lattice(f.source),
         "target": dump_lattice(f.target),
-        "table": list(f.table),
+        "table": [int(v) for v in f.table],
     }
 
 
@@ -212,7 +212,7 @@ def dump_space(space: ProperStateSpace) -> dict:
     return {
         "states": list(space.states),
         "lattice": dump_lattice(space.lattice),
-        "c_map": list(space.c_map),
+        "c_map": [int(v) for v in space.c_map],
     }
 
 

@@ -9,8 +9,8 @@ propagation of properties. That reading is a quantale morphism, which
 :func:`epimorphism_check` verifies on explicit samples.
 
 Subsets of the state space are represented as bitmasks throughout. The
-bulk checks (membership, enumeration, the composition and union tables, the
-morphism check) index one array, the act table of k maps on n states: a
+bulk checks (membership, enumeration, the composition table, the morphism
+check) index one array, the act table of k maps on n states: a
 (k, 2**n) array whose row i is map i's image of every subset mask.
 """
 
@@ -281,34 +281,53 @@ class QuantaleLawReport:
         return all(self.laws.values()) and self.epimorphism.ok
 
 
-def _triple_laws(comp: np.ndarray, union: np.ndarray) -> tuple[bool, bool, bool]:
+def _triple_laws(comp: np.ndarray, union: np.ndarray,
+                 codes: np.ndarray) -> tuple[bool, bool, bool]:
     """Associativity, left and right distributivity on every triple (i, j, k):
     (ij)k = i(jk), i(j u k) = ij u ik and (i u j)k = ik u jk, compared as
-    (B, m, m) arrays over (j, k) for each block of rows i."""
+    (B, m, m) arrays for each block of B values of one index.
+
+    Associativity, over the middle index j, gathers whole rows of ``comp``
+    and of ``comp.T``. The distributive laws compare rows of C = codes[comp]
+    picked by a row of ``union`` with the OR of two rows of C. As
+    :func:`transition_tables` checks each ``union[a, b]`` against
+    ``codes[a] | codes[b]`` and each entry is the one index its lookup picks
+    for its code, two entries are equal exactly when their codes are.
+    """
     m = len(comp)
-    comp_at, union_at = comp.astype(np.intp), union.astype(np.intp)
-    union_row = comp_at * m  # where row comp[i, j] of union starts, flattened
+    comp_t = np.ascontiguousarray(comp.T)
+    coded = codes.take(comp)  # C above
+    coded_t = np.ascontiguousarray(coded.T)
     associative = left = right = True
     for block in _row_blocks(m, m * m):
-        rows = comp_at[block]
-        associative = associative and np.array_equal(
-            comp.take(rows, axis=0), comp[block].take(comp_at, axis=1))
-        left = left and np.array_equal(
-            comp[block].take(union_at, axis=1),
-            union.take(union_row[block][:, :, None] + rows[:, None, :]))
-        right = right and np.array_equal(
-            comp.take(union_at[block], axis=0),
-            union.take(union_row[block][:, None, :] + comp_at))
+        associative = associative and bool((
+            comp.take(comp_t[block], axis=0)
+            == comp_t.take(comp[block], axis=0).transpose(0, 2, 1)).all())
+        left = left and bool((
+            coded_t.take(union[block], axis=0) == (coded_t[block, None] | coded_t)).all())
+        right = right and bool((
+            coded.take(union[block], axis=0) == (coded[block, None] | coded)).all())
     return associative, left, right
+
+
+def _codes(images: np.ndarray) -> np.ndarray:
+    """Image codes of maps with singleton images ``images`` (..., n), in the
+    narrowest unsigned dtype that holds every code on n states. State s's
+    image fills bits [n*s, n*s + n); the digits never overlap, so the OR of
+    two maps' codes is the code of their pointwise union."""
+    n = images.shape[-1]
+    codes = images @ np.array([1 << n * s for s in range(n)], dtype=np.int64)
+    return codes.astype(np.min_scalar_type((1 << n * n) - 1))
 
 
 def transition_tables(members: Sequence[TransitionMap]) -> tuple[np.ndarray, np.ndarray]:
     """Index tables for composition and union over ``members``.
 
     ``comp[i, j]`` is the index of members[i] o members[j] and
-    ``union[i, j]`` of their pointwise union, found by mixed-radix image
-    code (base 2**n, a digit per state); of equal members the last counts.
-    A product outside ``members`` raises NotMember.
+    ``union[i, j]`` of their pointwise union, found by image code
+    (:func:`_codes`; a union's is the OR of the two members' codes); of
+    equal members the last counts. A product outside ``members`` raises
+    NotMember.
     """
     m = len(members)
     if m > 350:
@@ -317,14 +336,13 @@ def transition_tables(members: Sequence[TransitionMap]) -> tuple[np.ndarray, np.
     if n > 7:
         raise TooLarge(f"image codes fit in 64 bits up to 7 states, got {n}")
     images = _image_array(members, n)
-    weights = (1 << n) ** np.arange(n, dtype=np.int64)
-    codes = images @ weights
+    codes = _codes(images)
     order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
     tables = []
-    for law, products in (("composition", _act_table(images)[:, images]),
-                          ("union", images[:, None, :] | images[None, :, :])):
-        wanted = products @ weights
-        found = order[np.searchsorted(codes[order], wanted, side="right") - 1]
+    for law, wanted in (("composition", _codes(_act_table(images)[:, images])),
+                        ("union", codes[:, None] | codes)):
+        found = order[np.searchsorted(ranked, wanted, side="right") - 1]
         if not np.array_equal(codes[found], wanted):
             raise NotMember(f"members are not closed under {law}")
         tables.append(found.astype(np.int16))
@@ -343,14 +361,14 @@ def check_quantale_laws(space: ProperStateSpace,
     if members is None:
         members = enumerate_members(space)
     comp, union = transition_tables(members)
-
-    associative, left, right = _triple_laws(comp, union)
-
     images = _image_array(members, len(space))
+    codes = _codes(images)
+    associative, left, right = _triple_laws(comp, union, codes)
+
     total = np.bitwise_or.reduce(images, axis=0)
     union_closed = bool(_compatible(space, total[None])[0]
-                        and (images == total).all(axis=1).any())
-    bottom_ok = bool((images == 0).all(axis=1).any())
+                        and (codes == np.bitwise_or.reduce(codes)).any())
+    bottom_ok = bool((codes == 0).any())
     return QuantaleLawReport(
         members=len(members),
         associative=associative,

@@ -10,7 +10,7 @@ import pytest
 from compoundness import jsonio
 from compoundness.catalog import boolean, chain, mo
 from compoundness.errors import ParseError
-from compoundness.galois import separation_state
+from compoundness.galois import JoinMap, separation_state
 from compoundness.lattice import OrthoLattice
 from compoundness.operators import ANTILINEAR, from_tensor
 from compoundness.quantale import ProperStateSpace
@@ -35,6 +35,12 @@ def test_join_map_round_trip():
     again = jsonio.parse_join_map(jsonio.dump_join_map(f))
     assert again.table == f.table
     assert again.source.same_structure(f.source)
+
+
+def test_join_map_with_a_numpy_table_dumps_to_json():
+    f = JoinMap(chain(2), chain(2), tuple(np.array([0, 1])))
+    again = jsonio.parse_join_map(json.loads(json.dumps(jsonio.dump_join_map(f))))
+    assert again.table == (0, 1)
 
 
 def test_matrix_round_trip_is_bit_identical():
@@ -72,6 +78,12 @@ def test_space_round_trip():
     again = jsonio.parse_space(jsonio.dump_space(space))
     assert again.states == space.states
     assert again.c_map == space.c_map
+
+
+def test_space_with_a_numpy_c_map_dumps_to_json():
+    space = ProperStateSpace(("p", "q"), chain(2), tuple(np.array([0, 1])))
+    again = jsonio.parse_space(json.loads(json.dumps(jsonio.dump_space(space))))
+    assert again.c_map == (0, 1)
 
 
 def test_malformed_json_carries_line_and_column():

@@ -33,7 +33,7 @@ from compoundness.quantale import (
     union_join,
 )
 from compoundness.lattice import _row_blocks
-from compoundness.quantale import _triple_laws
+from compoundness.quantale import _codes, _image_array, _triple_laws
 from oracles import brute_members, brute_propagations, brute_triple_laws
 
 CHAIN2 = chain(2)
@@ -52,6 +52,10 @@ def three_state_space() -> ProperStateSpace:
 def boolean_state_space() -> ProperStateSpace:
     b2 = boolean(2).base
     return ProperStateSpace(("p", "q", "r"), b2, (b2.index("a"), b2.index("b"), b2.index("a")))
+
+
+def member_codes(members) -> np.ndarray:
+    return _codes(_image_array(members, len(members[0].space)))
 
 
 def as_sets(space: ProperStateSpace, maps) -> list[tuple[frozenset[int], ...]]:
@@ -251,17 +255,59 @@ def test_distributivity_exhaustive_on_three_states():
 def test_triple_laws_find_one_corrupted_entry_in_the_first_and_last_blocks(table, corner):
     # 80 members make eight blocks; the corners sit in the first and last ones
     space = ProperStateSpace(("p", "q", "r"), CHAIN2, (0, 1, 1))
-    tables = dict(zip(("comp", "union"), transition_tables(enumerate_members(space))))
+    members = enumerate_members(space)
+    tables = dict(zip(("comp", "union"), transition_tables(members)))
     m = len(tables["comp"])
     assert m >= 80 and len(_row_blocks(m, m * m)) > 2
     tables[table][corner] = (tables[table][corner] + 1) % m
-    laws = _triple_laws(tables["comp"], tables["union"])
+    laws = _triple_laws(tables["comp"], tables["union"], member_codes(members))
     assert laws == brute_triple_laws(tables["comp"], tables["union"])
     assert not all(laws)
 
 
+def test_triple_laws_agree_with_the_oracle_on_every_single_entry_corruption():
+    # 8 members: each of the 2 * 64 entries set to each of its 7 other values
+    space = ProperStateSpace(("p", "q"), CHAIN2, (0, 1))
+    members = enumerate_members(space)
+    codes = member_codes(members)
+    tables = transition_tables(members)
+    m = len(members)
+    assert m == 8
+    cases = 0
+    for t, (i, j), value in itertools.product(range(2), itertools.product(range(m), repeat=2),
+                                              range(m)):
+        if value == tables[t][i, j]:
+            continue
+        corrupt = [table.copy() for table in tables]
+        corrupt[t][i, j] = value
+        assert _triple_laws(*corrupt, codes) == brute_triple_laws(*corrupt), (t, i, j, value)
+        cases += 1
+    assert cases == 896
+
+
+def test_duplicate_members_point_to_their_last_copy():
+    # of equal members the last counts, so every table entry is the one
+    # index its lookup picks for its code and the laws still hold
+    space = three_state_space()
+    members = enumerate_members(space)
+    m = len(members)
+    doubled = list(members) + list(members[:3])
+    last = np.array([m + i if i < 3 else i for i in range(m)])
+    source = np.r_[np.arange(m), np.arange(3)]
+    for table, table2 in zip(transition_tables(members), transition_tables(doubled)):
+        assert table2.dtype == np.int16
+        assert np.array_equal(table2, last[table[np.ix_(source, source)]])
+    comp, union = transition_tables(doubled)
+    assert (_triple_laws(comp, union, member_codes(doubled)) == brute_triple_laws(comp, union)
+            == (True, True, True))
+    report = check_quantale_laws(space, doubled)
+    assert report == dataclasses.replace(check_quantale_laws(space, members), members=m + 3,
+                                         epimorphism=epimorphism_check(space, doubled))
+    assert report.ok
+
+
 def test_quantale_laws_check_in_quadratic_memory():
-    # all-triples arrays would take 37 MiB here; row blocks keep it to a few
+    # all-triples arrays would take 37 MiB here; row blocks keep it near 1.3 MiB
     space = ProperStateSpace(("p", "q", "r"), chain(4), (1, 2, 3))
     members = enumerate_members(space)
     assert len(members) == 198
@@ -271,7 +317,7 @@ def test_quantale_laws_check_in_quadratic_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 2.5 * 2**20
 
 
 def test_transition_tables_reject_lists_not_closed_under_products():
@@ -300,7 +346,8 @@ def test_members_and_tables_agree_with_the_set_level_oracle(make_space):
                 frozenset().union(*(f[t] for t in g_s)) for g_s in g
             )
             assert sets[union[i, j]] == tuple(a | b for a, b in zip(f, g))
-    assert _triple_laws(comp, union) == brute_triple_laws(comp, union) == (True, True, True)
+    assert (_triple_laws(comp, union, member_codes(members)) == brute_triple_laws(comp, union)
+            == (True, True, True))
 
 
 def test_composition_distributes_over_sampled_arbitrary_unions():
