@@ -30,22 +30,29 @@ ORTHOGONAL_CUTOFF = 1e-12
 class DensityState:
     """A validated density operator: Hermitian, PSD, unit trace.
 
-    Holds a private, read-only copy of the matrix. Validation reads its
-    eigenvalues only; :func:`carrier` decomposes it on first read.
+    Holds a private, read-only copy of the matrix. Validation reads |M - M^H|
+    by one ``np.vdot`` against half its tolerance, and the trace; if either
+    fails, it checks entries, shape, Hermitian norm and trace in that order.
+    Then it reads the eigenvalues; :func:`carrier` decomposes it on first read.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _finite(_owned_matrix(self.matrix))
+        m = _owned_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if m.shape[0] != m.shape[1]:
-            raise BadShape(f"density operator must be square, got {m.shape}")
-        if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL:
-            raise NotADensity("density operator is not Hermitian within 1e-12")
-        trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise NotADensity(f"density operator has trace {trace}, expected 1")
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite: named below
+            d = m - m.conj().T if m.shape[0] == m.shape[1] else None
+        if d is None or not (np.vdot(d, d).real <= HERMITIAN_TOL**2 / 4
+                             and abs(m.trace().real - 1.0) <= TRACE_TOL):
+            _finite(m)
+            if d is None:
+                raise BadShape(f"density operator must be square, got {m.shape}")
+            if np.linalg.norm(d) > HERMITIAN_TOL:
+                raise NotADensity("density operator is not Hermitian within 1e-12")
+            trace = float(np.trace(m).real)
+            if abs(trace - 1.0) > TRACE_TOL:
+                raise NotADensity(f"density operator has trace {trace}, expected 1")
         if float(np.linalg.eigvalsh(m)[0]) < EIGENVALUE_FLOOR:
             raise NotADensity("density operator has a significantly negative eigenvalue")
 
@@ -76,8 +83,9 @@ class DensityState:
 
 
 def _normalized(m: np.ndarray) -> DensityState:
-    """The Hermitian part of ``m`` scaled to unit trace."""
-    m = (m + m.conj().T) / 2.0
+    """The Hermitian part of ``m`` scaled to unit trace; ``m`` is overwritten."""
+    m += m.conj().T
+    m /= 2.0
     return DensityState(m / float(np.trace(m).real))
 
 

@@ -258,10 +258,10 @@ def quadruple(op: CompoundOperator) -> Quadruple:
     """
     if op.is_zero():
         raise ZeroOperator("the zero operator has no associated proper states")
-    unit = CompoundOperator(_scaled(op.matrix), op.linearity)
-    adj = unit.adjoint()
-    return Quadruple(op, _normalized(adj._act(unit.matrix)),
-                     _normalized(unit._act(adj.matrix)), op.adjoint())
+    u = _scaled(op.matrix)
+    h = u.conj().T
+    left = h @ u if op.linearity == LINEAR else u.T @ u.conj()
+    return Quadruple(op, _normalized(left), _normalized(u @ h), op.adjoint())
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,10 @@ class ProperStateSpace:
         below = self.lattice.leq[list(self.c_map)].T.astype(np.int64)
         return tuple((below @ (1 << np.arange(len(self.states)))).tolist())
 
+    @cached_property
+    def _closure_by_mask(self) -> np.ndarray:
+        return np.array(self._closure_by_property)[list(self._strongest_by_mask)]
+
     def closure(self, mask: int) -> int:
         """The induced closure: every state whose property is below C(T)."""
         return self._closure_by_property[self.strongest_property(mask)]
@@ -137,16 +141,15 @@ def _image_array(maps: Sequence[TransitionMap], n: int) -> np.ndarray:
 def _act_table(images: np.ndarray) -> np.ndarray:
     """Act table of maps with singleton images ``images`` (k, n); a mask's
     image is its highest state's image or'd with the image of the rest."""
-    act = np.zeros((len(images), 1), dtype=images.dtype)
-    for column in images.T:
-        act = np.concatenate([act, act | column[:, None]], axis=1)
+    act = np.zeros((len(images), 1 << images.shape[1]), dtype=images.dtype)
+    for s, column in enumerate(images.T):
+        np.bitwise_or(act[:, :1 << s], column[:, None], out=act[:, 1 << s:2 << s])
     return act
 
 
 def _compatible(space: ProperStateSpace, images: np.ndarray) -> np.ndarray:
     """Per row of ``images``: whether f(cl(T)) lies in cl(f(T)) for all T."""
-    closure = np.array(space._closure_by_property)[list(space._strongest_by_mask)]
-    act = _act_table(images)
+    closure, act = space._closure_by_mask, _act_table(images)
     return ~(act[:, closure] & ~closure[act]).any(axis=1)
 
 
@@ -202,20 +205,22 @@ def property_propagation(f: TransitionMap) -> JoinMap:
 
 def _propagations(space: ProperStateSpace, act: np.ndarray) -> list[JoinMap]:
     """:func:`property_propagation` of each row of the act table ``act``, in
-    order: the first row that is ill defined or not join-preserving raises."""
+    order: the first row that is ill defined or not join-preserving raises;
+    the rows before the first ill-defined one are validated before it is."""
     strongest = np.array(space._strongest_by_mask)
     _, first, inverse = np.unique(strongest, return_index=True, return_inverse=True)
     first_mask, below = first[inverse], list(space._closure_by_property)
     props = strongest[act]
-    maps = []
-    for row, ill in zip(props, props != props[:, first_mask]):
-        if ill.any():
-            mask = int(ill.argmax())
-            raise IllDefined(
-                "propagation is not well defined on equal-property subsets",
-                witness=(space.subset_labels(int(first_mask[mask])), space.subset_labels(mask)),
-            )
-        maps.append(JoinMap(space.lattice, space.lattice, tuple(row[below].tolist())))
+    ill = props != props[:, first_mask]
+    good = int(np.append(ill.any(axis=1), True).argmax())  # the first ill-defined row, if any
+    maps = [JoinMap(space.lattice, space.lattice, tuple(row))
+            for row in props[:good, below].tolist()]
+    if good < len(props):
+        mask = int(ill[good].argmax())
+        raise IllDefined(
+            "propagation is not well defined on equal-property subsets",
+            witness=(space.subset_labels(int(first_mask[mask])), space.subset_labels(mask)),
+        )
     return maps
 
 
@@ -293,20 +298,24 @@ def _triple_laws(comp: np.ndarray, union: np.ndarray,
     :func:`transition_tables` checks each ``union[a, b]`` against
     ``codes[a] | codes[b]`` and each entry is the one index its lookup picks
     for its code, two entries are equal exactly when their codes are.
+    Both are symmetric in their union arguments j, k if ``union`` is, and then
+    a block of j takes k from its first row on (k >= j); else every k.
     """
     m = len(comp)
     comp_t = np.ascontiguousarray(comp.T)
     coded = codes.take(comp)  # C above
     coded_t = np.ascontiguousarray(coded.T)
+    symmetric = np.array_equal(union, union.T)
     associative = left = right = True
     for block in _row_blocks(m, m * m):
         associative = associative and bool((
             comp.take(comp_t[block], axis=0)
             == comp_t.take(comp[block], axis=0).transpose(0, 2, 1)).all())
-        left = left and bool((
-            coded_t.take(union[block], axis=0) == (coded_t[block, None] | coded_t)).all())
-        right = right and bool((
-            coded.take(union[block], axis=0) == (coded[block, None] | coded)).all())
+        lo = block.start if symmetric else 0
+        left = left and bool((coded_t.take(union[block, lo:], axis=0)
+                              == (coded_t[block, None] | coded_t[lo:])).all())
+        right = right and bool((coded.take(union[block, lo:], axis=0)
+                                == (coded[block, None] | coded[lo:])).all())
     return associative, left, right
 
 
@@ -320,6 +329,28 @@ def _codes(images: np.ndarray) -> np.ndarray:
     return codes.astype(np.min_scalar_type((1 << n * n) - 1))
 
 
+def _tables(members: Sequence[TransitionMap], n: int | None = None) -> tuple[np.ndarray, ...]:
+    """:func:`transition_tables` and the image array, codes and act table it
+    reads ``members`` into, on n states (by default the first member's)."""
+    m = len(members)
+    if m > 350:
+        raise TooLarge(f"exhaustive triple checks are guarded to 350 members, got {m}")
+    states = len(members[0].space) if members else 0
+    if states > 7:
+        raise TooLarge(f"image codes fit in 64 bits up to 7 states, got {states}")
+    images = _image_array(members, states if n is None else n)
+    codes, act = _codes(images), _act_table(images)
+    order = np.argsort(codes, kind="stable")
+    tables = []
+    for law, wanted in (("composition", _codes(act[:, images])),
+                        ("union", codes[:, None] | codes)):
+        found = order[np.searchsorted(codes[order], wanted, side="right") - 1]
+        if not np.array_equal(codes[found], wanted):
+            raise NotMember(f"members are not closed under {law}")
+        tables.append(found.astype(np.int16))
+    return tables[0], tables[1], images, codes, act
+
+
 def transition_tables(members: Sequence[TransitionMap]) -> tuple[np.ndarray, np.ndarray]:
     """Index tables for composition and union over ``members``.
 
@@ -329,24 +360,7 @@ def transition_tables(members: Sequence[TransitionMap]) -> tuple[np.ndarray, np.
     equal members the last counts. A product outside ``members`` raises
     NotMember.
     """
-    m = len(members)
-    if m > 350:
-        raise TooLarge(f"exhaustive triple checks are guarded to 350 members, got {m}")
-    n = len(members[0].space) if members else 0
-    if n > 7:
-        raise TooLarge(f"image codes fit in 64 bits up to 7 states, got {n}")
-    images = _image_array(members, n)
-    codes = _codes(images)
-    order = np.argsort(codes, kind="stable")
-    ranked = codes[order]
-    tables = []
-    for law, wanted in (("composition", _codes(_act_table(images)[:, images])),
-                        ("union", codes[:, None] | codes)):
-        found = order[np.searchsorted(ranked, wanted, side="right") - 1]
-        if not np.array_equal(codes[found], wanted):
-            raise NotMember(f"members are not closed under {law}")
-        tables.append(found.astype(np.int16))
-    return tables[0], tables[1]
+    return _tables(members)[:2]
 
 
 def check_quantale_laws(space: ProperStateSpace,
@@ -360,9 +374,7 @@ def check_quantale_laws(space: ProperStateSpace,
     """
     if members is None:
         members = enumerate_members(space)
-    comp, union = transition_tables(members)
-    images = _image_array(members, len(space))
-    codes = _codes(images)
+    comp, union, images, codes, act = _tables(members, len(space))
     associative, left, right = _triple_laws(comp, union, codes)
 
     total = np.bitwise_or.reduce(images, axis=0)
@@ -376,5 +388,5 @@ def check_quantale_laws(space: ProperStateSpace,
         right_distributive=right,
         union_closed=union_closed,
         bottom_is_empty=bottom_ok,
-        epimorphism=epimorphism_check(space, members),
+        epimorphism=EpimorphismReport(maps=len(_propagations(space, act))),
     )

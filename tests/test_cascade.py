@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from compoundness.density import (
     lueders,
     transition_probability,
 )
-from compoundness.errors import BadShape, NotADensity, ZeroOperator, ZeroVector
+from compoundness.errors import BadShape, NonFinite, NotADensity, ZeroOperator, ZeroVector
 from compoundness.hilbert import DEFAULT_TOL, Subspace, ortho_s, ray, sasaki_s, span
 from compoundness.operators import (
     ANTILINEAR,
@@ -72,6 +73,39 @@ def test_density_validation_rejects_bad_matrices():
         DensityState(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
     with pytest.raises(BadShape):
         DensityState(np.ones((2, 3)))
+
+
+SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])  # M - M^H = 2 SKEW, of norm 2 sqrt(2)
+NON_FINITE = (NonFinite, "matrix contains NaN or infinite entries")
+NOT_HERMITIAN = (NotADensity, "density operator is not Hermitian within 1e-12")
+
+
+@pytest.mark.parametrize("matrix, error", [
+    (np.array([[0.5, np.nan], [np.nan, 0.5]]), NON_FINITE),
+    (np.diag([np.inf, 0.0]), NON_FINITE),
+    (np.array([[0.5, 1j * np.inf], [-1j * np.inf, 0.5]]), NON_FINITE),
+    (np.full((2, 3), np.nan), NON_FINITE),  # entries are checked before the shape
+    (np.ones((2, 3)), (BadShape, "density operator must be square, got (2, 3)")),
+    (np.array([[2.0, 1.0], [0.0, 0.0]]), NOT_HERMITIAN),  # checked before the trace
+    (np.eye(2) / 2 + 1e-12 / 2 * SKEW, NOT_HERMITIAN),
+    (np.eye(2), (NotADensity, "density operator has trace 2.0, expected 1")),
+    (np.diag([1.0 + 2e-12, 0.0]), (NotADensity, f"density operator has trace {1.0 + 2e-12}, "
+                                                 f"expected 1")),
+    (np.diag([1.5, -0.5]),
+     (NotADensity, "density operator has a significantly negative eigenvalue")),
+    (np.diag([1.0 + 0.9e-12, 0.0]), None),
+    # Hermitian within 1e-12 but not by half of it: the ordered checks accept it
+    (np.eye(2) / 2 + 0.9e-12 / 8**0.5 * SKEW, None),
+])
+def test_density_validation_names_the_first_failed_check(matrix, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            assert np.array_equal(DensityState(matrix).matrix, matrix)
+            return
+        with pytest.raises(error[0]) as excinfo:
+            DensityState(matrix)
+    assert str(excinfo.value) == error[1]
 
 
 def test_eigenvalue_floor_sits_between_minus_2e_10_and_minus_5e_11():

@@ -12,7 +12,8 @@ from compoundness.errors import (
     NonFinite,
     ZeroOperator,
 )
-from compoundness.hilbert import Subspace, join_s, ray, span
+from compoundness.density import _normalized
+from compoundness.hilbert import Subspace, _scaled, join_s, ray, span
 from compoundness.operators import (
     ANTILINEAR,
     LINEAR,
@@ -307,6 +308,27 @@ def test_quadruple_of_diagonal_coefficients():
 def test_quadruple_rejects_zero():
     with pytest.raises(ZeroOperator):
         quadruple(CompoundOperator(np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("flag", [LINEAR, ANTILINEAR])
+def test_quadruple_builds_one_operator_and_the_former_states(flag, monkeypatch):
+    # the states were formed through CompoundOperator(u) and its adjoint
+    rng = np.random.default_rng(23)
+    for d_out, d_in in ((1, 1), (2, 3), (4, 2), (5, 5)):
+        op = CompoundOperator(random_operator(rng, d_in, d_out, flag).matrix * 1e-3, flag)
+        unit = CompoundOperator(_scaled(op.matrix), flag)
+        adj = unit.adjoint()
+        rho1, rho2 = _normalized(adj._act(unit.matrix)), _normalized(unit._act(adj.matrix))
+        built = []
+        original = CompoundOperator.__post_init__
+        monkeypatch.setattr(CompoundOperator, "__post_init__",
+                            lambda self: built.append(self) or original(self))
+        quad = quadruple(op)
+        monkeypatch.undo()
+        assert built == [quad.f21]
+        assert np.array_equal(quad.rho1.matrix, rho1.matrix)
+        assert np.array_equal(quad.rho2.matrix, rho2.matrix)
+        assert np.array_equal(quad.f21.matrix, op.adjoint().matrix)
 
 
 def test_quadruple_adjoint_has_same_flag():

@@ -32,6 +32,7 @@ from compoundness.quantale import (
     transition_tables,
     union_join,
 )
+from compoundness import lattice, quantale
 from compoundness.lattice import _row_blocks
 from compoundness.quantale import _codes, _image_array, _triple_laws
 from oracles import brute_members, brute_propagations, brute_triple_laws
@@ -283,6 +284,41 @@ def test_triple_laws_agree_with_the_oracle_on_every_single_entry_corruption():
         assert _triple_laws(*corrupt, codes) == brute_triple_laws(*corrupt), (t, i, j, value)
         cases += 1
     assert cases == 896
+
+
+def test_triple_laws_agree_with_the_oracle_on_every_symmetric_pair_corruption(monkeypatch):
+    # the maps of the three-state space that send r into {r} are closed under
+    # composition and union; blocks of 4 rows make 7 blocks of 27 members
+    space = three_state_space()
+    members = [f for f in enumerate_members(space) if f.images[2] in (0, 4)]
+    comp, union = transition_tables(members)
+    codes = member_codes(members)
+    m = len(members)
+    monkeypatch.setattr(lattice, "_BLOCK_ENTRIES", 4 * m * m)
+    assert m == 27 and len(_row_blocks(m, m * m)) == 7
+    for i, j in itertools.combinations_with_replacement(range(m), 2):
+        corrupt = union.copy()
+        corrupt[i, j] = corrupt[j, i] = (union[i, j] + 1) % m
+        # still symmetric, so each distributive law compares the pairs k >= j
+        assert np.array_equal(corrupt, corrupt.T)
+        laws = _triple_laws(comp, corrupt, codes)
+        assert laws == brute_triple_laws(comp, corrupt), (i, j)
+        assert not all(laws)
+
+
+def test_one_law_check_reads_its_members_once(monkeypatch):
+    # one image array and one act table of all m members; the union-closure
+    # check adds the one-row act table of their union
+    space = three_state_space()
+    members = enumerate_members(space)
+    rows = {"images": [], "act": []}
+    image_array, act_table = quantale._image_array, quantale._act_table
+    monkeypatch.setattr(quantale, "_image_array",
+                        lambda maps, n: rows["images"].append(len(maps)) or image_array(maps, n))
+    monkeypatch.setattr(quantale, "_act_table",
+                        lambda images: rows["act"].append(len(images)) or act_table(images))
+    assert check_quantale_laws(space, members).ok
+    assert rows == {"images": [len(members)], "act": [len(members), 1]}
 
 
 def test_duplicate_members_point_to_their_last_copy():
